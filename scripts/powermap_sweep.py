@@ -25,7 +25,7 @@ def main():
             continue
         instance = load_instance(path)
         failing = [k for k in range(1, args.k_max + 1) if not density_from_cartans(instance, k)]
-        verdict = weakly_exponential_model(instance, k_max=args.k_max)
+        verdict = weakly_exponential_model(instance)
         print(f"{instance.name}: dense for all k: {verdict}")
         if failing:
             print(f"  non-dense k up to {args.k_max}: {failing}")

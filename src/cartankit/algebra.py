@@ -9,6 +9,7 @@ immutable value after construction.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -19,6 +20,24 @@ from .linalg import Mat, Vec
 # Above this dimension the O(dim^4) construction-time Jacobi sweep must be
 # requested explicitly.
 JACOBI_CHECK_LIMIT = 32
+
+
+def per_algebra(fn):
+    """Compute ``fn(g)`` once per algebra instance and keep it on the instance.
+
+    Algebras are immutable after construction, so a derived invariant never
+    goes stale.  The memo is keyed by identity of the instance, not by
+    equality, and a call that raises stores nothing.
+    """
+
+    @functools.wraps(fn)
+    def memoized(g):
+        memo = g._memo
+        if fn not in memo:
+            memo[fn] = fn(g)
+        return memo[fn]
+
+    return memoized
 
 
 class LieAlgebra:
@@ -62,6 +81,7 @@ class LieAlgebra:
             canonical[(i, j)] = tuple((k, c) for k, c in enumerate(v) if c != 0)
         self._table: tuple[tuple[Vec, ...], ...] = tuple(tuple(r) for r in table)
         self._canonical = tuple(sorted(canonical.items()))
+        self._memo: dict = {}  # derived invariants, filled by per_algebra
 
         if check_jacobi is None:
             check_jacobi = dim <= JACOBI_CHECK_LIMIT
@@ -117,12 +137,9 @@ class LieAlgebra:
         cols = [self._bracket_vec_basis(linalg.vec(x), k) for k in range(self.dim)]
         return linalg.transpose(tuple(cols)) if cols else ()
 
+    @per_algebra
     def whole(self) -> "Subalgebra":
-        cached = getattr(self, "_whole", None)
-        if cached is None:
-            cached = Subalgebra._trusted(self, linalg.identity(self.dim))
-            self._whole = cached
-        return cached
+        return Subalgebra._trusted(self, linalg.identity(self.dim))
 
     def zero_subspace(self) -> "Subspace":
         return Subspace(self, ())
@@ -335,6 +352,7 @@ def is_solvable(sub: Subspace) -> bool:
     return derived_series(sub)[-1].dim == 0
 
 
+@per_algebra
 def killing_form(g: LieAlgebra) -> Mat:
     """k(e_i, e_j) = trace(ad e_i o ad e_j); symmetric and invariant."""
     ads = [g.ad(linalg.unit_vec(g.dim, i)) for i in range(g.dim)]

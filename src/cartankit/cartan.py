@@ -27,6 +27,7 @@ from .algebra import (
     is_nilpotent,
     is_solvable,
     normalizer,
+    per_algebra,
 )
 from .errors import (
     HypothesisViolated,
@@ -88,6 +89,7 @@ def regular_element_candidates(dim: int):
                 yield linalg.vec(v)
 
 
+@per_algebra
 def regular_element_csa(g: LieAlgebra) -> CartanResult:
     """Fitting null component of a minimal-nullity element in the search order.
 
@@ -175,6 +177,7 @@ def centralizer_in_radical(h_levi: Subspace, decomp: LeviDecomposition) -> Subal
     return Subalgebra(section.ambient, section.matrix)
 
 
+@per_algebra
 def composite_csa(g: LieAlgebra) -> CartanResult:
     """Cartan subalgebra of the Levi part, extended through its centralizer.
 
@@ -183,6 +186,9 @@ def composite_csa(g: LieAlgebra) -> CartanResult:
     Cartan subalgebra H_Z of Z.  The inner Cartan subalgebras come from the
     regular-element oracle; the normalizer chain is exposed separately as
     the solvable-side route and cross-checked in the test suite.
+
+    The trace holds the parts in the order (H_S, Z_R(H_S), H_Z, H), all in
+    ambient coordinates, with H = H_S + H_Z the returned Cartan subalgebra.
     """
     decomp = levi_decomposition(g)
     if decomp.levi.dim:

@@ -62,9 +62,11 @@ _INPUT_ERRORS = (
     HypothesisViolated,
     InvalidOrder,
     EmptyInstance,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
+# an unreadable input file: missing, a directory, unreadable, or not UTF-8
+_READ_ERRORS = (OSError, UnicodeDecodeError)
 _INTERNAL_ERRORS = (
     InternalInconsistency,
     LiftFailure,
@@ -85,7 +87,7 @@ def _fail(exc: Exception) -> None:
 def _load(path: str, skip_jacobi: bool) -> LieAlgebra:
     try:
         return load_algebra(path, skip_jacobi=skip_jacobi)
-    except (CartanKitError, FileNotFoundError) as exc:
+    except (CartanKitError, *_READ_ERRORS) as exc:
         _fail(exc)
 
 
@@ -272,7 +274,7 @@ def powermap(path: str, exponent: int, as_json: bool) -> None:
         instance = load_instance(path)
         verdicts = [pk_surjective(m, exponent) for m in instance.cartan_models]
         dense = density_from_cartans(instance, exponent)
-    except (CartanKitError, FileNotFoundError, ValueError) as exc:
+    except (CartanKitError, OSError, ValueError) as exc:
         _fail(exc)
     if as_json:
         payload = {
@@ -318,7 +320,7 @@ def verify(paths: tuple[str, ...], run_all: bool, as_json: bool) -> None:
         else:
             # explicit paths only; none given means zero checks, exit 0
             report = run_verification(paths=list(paths))
-    except (CartanKitError, FileNotFoundError) as exc:
+    except (CartanKitError, *_READ_ERRORS) as exc:
         _fail(exc)
     click.echo(report_to_json(report) if as_json else report_to_text(report))
     if not report.ok:

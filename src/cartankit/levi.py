@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Ideal, LieAlgebra, Subalgebra, Subspace, bracket_span
+from .algebra import Ideal, LieAlgebra, Subalgebra, Subspace, bracket_span, per_algebra
 from .errors import InternalInconsistency, LiftFailure, NotClosed
 from .linalg import Mat, Vec
 from .quotient import QuotientMap, quotient_algebra
@@ -75,6 +75,7 @@ def induced_algebra(sub: Subspace) -> InducedAlgebra:
     return InducedAlgebra(algebra=algebra, ambient=g, inclusion=rows)
 
 
+@per_algebra
 def levi_decomposition(g: LieAlgebra) -> LeviDecomposition:
     """A semisimple complement of the radical, deterministic on ties."""
     rad = radical(g)

@@ -8,7 +8,6 @@ stabilization by syntactic equality of canonical forms.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -430,8 +429,3 @@ def semisimple_part(m: Mat) -> Mat:
         s = mat_add(s, mat_scale(-ONE, mat_mul(gs, poly_eval_mat(v, s))))
     raise InternalInconsistency("Jordan-Chevalley iteration failed to converge")
 
-
-def integer_grid(dim: int, lo: int, hi: int):
-    """All integer coordinate vectors in [lo, hi]^dim, lexicographic order."""
-    for combo in itertools.product(range(lo, hi + 1), repeat=dim):
-        yield vec(combo)

@@ -4,8 +4,11 @@ The radical comes from Cartan's solvability criterion: in characteristic
 zero it is the Killing-orthogonal complement of the derived algebra.  The
 nilradical is the set of radical elements with nilpotent adjoint action;
 that set is carved out exactly, layer by layer, as described below.  Both
-results are verified before they are returned, and the nilradical falls
-back to brute-force ideal enumeration if its verification ever fails.
+results are verified before they are returned; a result that fails its
+verification raises InternalInconsistency, since it signals a bug.  Both
+are memoized per algebra instance.  Brute-force ideal enumeration stays
+available as the independent oracle for the verification harness and the
+tests; no production path falls back to it.
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ from .algebra import (
     is_nilpotent,
     is_solvable,
     killing_form,
+    per_algebra,
 )
 from .errors import InternalInconsistency, NotIdeal
 from .linalg import Mat, Vec
-
-BRUTE_FORCE_DIM_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,7 @@ class RadicalPair:
     nilradical: Ideal
 
 
+@per_algebra
 def radical(g: LieAlgebra) -> Ideal:
     """Largest solvable ideal: {x : k(x, [g,g]) = 0} in characteristic 0."""
     derived = bracket_span(g.whole(), g.whole())
@@ -82,7 +85,7 @@ def _layer_operator(g: LieAlgebra, x: Vec, layer: Mat, modulo: Subspace) -> Mat:
     return linalg.transpose(tuple(cols)) if cols else ()
 
 
-def _nilradical_layered(g: LieAlgebra, rad: Ideal) -> Subspace | None:
+def _nilradical_layered(g: LieAlgebra, rad: Ideal) -> Subspace:
     """{x in rad : ad(x) nilpotent} as an exact kernel intersection.
 
     Let J = [g, rad].  Along the flag g >= rad >= J >= J_2 >= ... built from
@@ -92,15 +95,14 @@ def _nilradical_layered(g: LieAlgebra, rad: Ideal) -> Subspace | None:
     act trivially on those layers, hence the induced operators of the rad
     basis commute there, their Jordan-Chevalley semisimple parts add, and
     the nilpotency condition per layer is the linear system
-    sum_t c_t S_t = 0.  Returns None when a sanity check fails and the
-    brute-force fallback should take over.
+    sum_t c_t S_t = 0.
     """
     j = bracket_span(g.whole(), rad)
     series = [j]
     while series[-1].dim:
         nxt = bracket_span(j, series[-1])
         if nxt.matrix == series[-1].matrix:
-            return None  # J failed to be nilpotent: impossible in char 0
+            raise InternalInconsistency("[g, rad] is not nilpotent")  # impossible in char 0
         series.append(nxt)
 
     conditions: list[Vec] = []
@@ -139,20 +141,15 @@ def _verify_nilradical(g: LieAlgebra, rad: Ideal, candidate: Subspace) -> bool:
     return True
 
 
+@per_algebra
 def nilradical(g: LieAlgebra) -> Ideal:
     """Largest nilpotent ideal: radical elements with nilpotent ad."""
     rad = radical(g)
     if rad.dim == 0:
         return Ideal(g, ())
     candidate = _nilradical_layered(g, rad)
-    if candidate is None or not _verify_nilradical(g, rad, candidate):
-        if g.dim > BRUTE_FORCE_DIM_LIMIT:
-            raise InternalInconsistency(
-                "nilradical verification failed and the algebra is too large for brute force"
-            )
-        candidate = bruteforce_max_nilpotent_ideal(g)
-        if not _verify_nilradical(g, rad, candidate):
-            raise InternalInconsistency("brute-force nilradical failed verification")
+    if not _verify_nilradical(g, rad, candidate):
+        raise InternalInconsistency("layered nilradical failed verification")
     return Ideal(g, candidate.matrix)
 
 
@@ -166,7 +163,7 @@ def radical_pair(g: LieAlgebra) -> RadicalPair:
 
 # ---------------------------------------------------------------------------
 # Brute-force ideal enumeration: the independent oracle for desk-scale tests
-# and the fallback route for the nilradical.
+# and the verification harness.
 # ---------------------------------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 Each check has a stable id, a one-line statement of the identity it tests
 (the anchor), and produces a concrete witness on failure.  The JSON report
 is byte-deterministic: no timestamps, no environment data, stable ordering.
-Advisory checks report failures without affecting the exit status.
+Advisory checks report failures without affecting the exit status.  Every
+check is one row of a check table, run by one runner.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 from . import linalg
 from .algebra import (
+    Ideal,
     LieAlgebra,
     Subalgebra,
     Subspace,
@@ -31,7 +34,6 @@ from .algebra import (
 from .cartan import (
     CartanResult,
     composite_csa,
-    centralizer_in_radical,
     fitting_null,
     is_cartan_subalgebra,
     normalizer_chain_csa,
@@ -49,6 +51,7 @@ from .errors import CartanKitError, JacobiViolation
 from .levi import induced_algebra, levi_decomposition
 from .powermap import (
     GroupDensityInstance,
+    ModelTriple,
     composition_holds,
     density_from_cartans,
     load_instance,
@@ -57,6 +60,7 @@ from .powermap import (
     powers_surjective_bruteforce,
     weakly_exponential_model,
 )
+from .quotient import lift_cartan, push_cartan, quotient_algebra
 from .radicals import (
     bruteforce_max_nilpotent_ideal,
     bruteforce_max_solvable_ideal,
@@ -121,56 +125,16 @@ def _subspace_witness(label: str, sub: Subspace) -> dict:
 
 
 class _FixtureContext:
-    """Shared per-fixture computations, evaluated once on demand."""
+    """Per-fixture data that is not an invariant of the algebra.
+
+    Invariants (radical, Levi decomposition, Cartan subalgebras, ...) are
+    memoized on the algebra itself, so checks call those functions directly.
+    """
 
     def __init__(self, name: str, algebra: LieAlgebra, matrix: dict):
         self.name = name
         self.g = algebra
         self.matrix = matrix
-
-    @cached_property
-    def radical(self):
-        return radical(self.g)
-
-    @cached_property
-    def nilradical(self):
-        return nilradical(self.g)
-
-    @cached_property
-    def levi(self):
-        return levi_decomposition(self.g)
-
-    @cached_property
-    def regular(self) -> CartanResult:
-        return regular_element_csa(self.g)
-
-    @cached_property
-    def composite(self) -> CartanResult:
-        return composite_csa(self.g)
-
-    @cached_property
-    def levi_csa(self) -> Subalgebra:
-        decomp = self.levi
-        if decomp.levi.dim == 0:
-            return self.g.zero_subalgebra()
-        frame = induced_algebra(decomp.levi)
-        return Subalgebra(
-            self.g, frame.to_ambient(regular_element_csa(frame.algebra).csa).matrix
-        )
-
-    @cached_property
-    def radical_section(self) -> Subalgebra:
-        return centralizer_in_radical(self.levi_csa, self.levi)
-
-    @cached_property
-    def section_csa(self) -> Subalgebra:
-        z = self.radical_section
-        if z.dim == 0:
-            return self.g.zero_subalgebra()
-        frame = induced_algebra(z)
-        return Subalgebra(
-            self.g, frame.to_ambient(regular_element_csa(frame.algebra).csa).matrix
-        )
 
     @cached_property
     def ideal_candidates(self):
@@ -277,9 +241,10 @@ def _check_killing_invariance(ctx: _FixtureContext):
 
 def _check_bruteforce_radical(ctx: _FixtureContext):
     oracle = bruteforce_max_solvable_ideal(ctx.g, ctx.ideal_candidates)
-    if oracle.matrix != ctx.radical.matrix:
+    rad = radical(ctx.g)
+    if oracle.matrix != rad.matrix:
         return {
-            "radical": _matrix_to_strings(ctx.radical.matrix),
+            "radical": _matrix_to_strings(rad.matrix),
             "bruteforce": _matrix_to_strings(oracle.matrix),
         }
     return None
@@ -287,16 +252,18 @@ def _check_bruteforce_radical(ctx: _FixtureContext):
 
 def _check_bruteforce_nilradical(ctx: _FixtureContext):
     oracle = bruteforce_max_nilpotent_ideal(ctx.g, ctx.ideal_candidates)
-    if oracle.matrix != ctx.nilradical.matrix:
+    nil = nilradical(ctx.g)
+    if oracle.matrix != nil.matrix:
         return {
-            "nilradical": _matrix_to_strings(ctx.nilradical.matrix),
+            "nilradical": _matrix_to_strings(nil.matrix),
             "bruteforce": _matrix_to_strings(oracle.matrix),
         }
     return None
 
 
 def _check_radical_containments(ctx: _FixtureContext):
-    g, rad, nil = ctx.g, ctx.radical, ctx.nilradical
+    g = ctx.g
+    rad, nil = radical(g), nilradical(g)
     if not rad.contains_subspace(nil):
         return _subspace_witness("nilradical", nil)
     if not nil.contains_subspace(bracket_span(g.whole(), rad)):
@@ -308,26 +275,27 @@ def _check_radical_containments(ctx: _FixtureContext):
 
 def _check_semisimple_consistency(ctx: _FixtureContext):
     flag = is_semisimple(ctx.g)
-    if flag != (ctx.radical.dim == 0):
-        return {"is_semisimple": flag, "radical_dim": ctx.radical.dim}
+    rad = radical(ctx.g)
+    if flag != (rad.dim == 0):
+        return {"is_semisimple": flag, "radical_dim": rad.dim}
     return None
 
 
 def _check_levi_split(ctx: _FixtureContext):
-    decomp = ctx.levi
+    decomp = levi_decomposition(ctx.g)
     if decomp.levi.dim + decomp.radical.dim != ctx.g.dim:
         return {"levi_dim": decomp.levi.dim, "radical_dim": decomp.radical.dim}
     if decomp.levi.intersect(decomp.radical).dim != 0:
         return _subspace_witness("intersection", decomp.levi.intersect(decomp.radical))
     if decomp.levi.dim and not is_semisimple(induced_algebra(decomp.levi).algebra):
         return _subspace_witness("levi", decomp.levi)
-    if decomp.radical.matrix != ctx.radical.matrix:
+    if decomp.radical.matrix != radical(ctx.g).matrix:
         return _subspace_witness("radical", decomp.radical)
     return None
 
 
 def _check_levi_roundtrip(ctx: _FixtureContext):
-    decomp = ctx.levi
+    decomp = levi_decomposition(ctx.g)
     if decomp.levi.dim == 0:
         return None
     frame = induced_algebra(decomp.levi)
@@ -350,11 +318,11 @@ def _cartan_axiom_witness(result: CartanResult):
 
 
 def _check_axioms_regular(ctx: _FixtureContext):
-    return _cartan_axiom_witness(ctx.regular)
+    return _cartan_axiom_witness(regular_element_csa(ctx.g))
 
 
 def _check_axioms_composite(ctx: _FixtureContext):
-    return _cartan_axiom_witness(ctx.composite)
+    return _cartan_axiom_witness(composite_csa(ctx.g))
 
 
 def _check_chain_recipe(ctx: _FixtureContext):
@@ -382,9 +350,10 @@ def _check_chain_recipe(ctx: _FixtureContext):
 
 
 def _check_rank_consistency(ctx: _FixtureContext):
-    rank_dim = ctx.regular.csa.dim
-    if ctx.composite.csa.dim != rank_dim:
-        return {"regular_dim": rank_dim, "composite_dim": ctx.composite.csa.dim}
+    rank_dim = regular_element_csa(ctx.g).csa.dim
+    composite_dim = composite_csa(ctx.g).csa.dim
+    if composite_dim != rank_dim:
+        return {"regular_dim": rank_dim, "composite_dim": composite_dim}
     if is_solvable(ctx.g.whole()):
         for label, rows in ctx.chain_starts.items():
             chain_dim = normalizer_chain_csa(ctx.g, Subspace(ctx.g, rows)).csa.dim
@@ -394,7 +363,7 @@ def _check_rank_consistency(ctx: _FixtureContext):
 
 
 def _check_maximal_nilpotent(ctx: _FixtureContext):
-    rank_dim = ctx.regular.csa.dim
+    rank_dim = regular_element_csa(ctx.g).csa.dim
     pool = ctx.pool_subalgebras
     nilpotent_pool = [s for s in pool if is_nilpotent(s)]
     for sub in nilpotent_pool:
@@ -412,21 +381,20 @@ def _check_maximal_nilpotent(ctx: _FixtureContext):
 
 
 def _check_selfcentralizing(ctx: _FixtureContext):
-    csa = ctx.regular.csa
+    csa = regular_element_csa(ctx.g).csa
     if centralizer(csa).matrix != csa.matrix:
         return _subspace_witness("centralizer", centralizer(csa))
     return None
 
 
 def _check_decomposition_radical(ctx: _FixtureContext):
-    rad, nil = ctx.radical, ctx.nilradical
-    z = ctx.radical_section
+    rad, nil = radical(ctx.g), nilradical(ctx.g)
+    _, z, hz, _ = composite_csa(ctx.g).trace
     if z.sum(nil).matrix != rad.matrix:
         return {
             "z_plus_n": _matrix_to_strings(z.sum(nil).matrix),
             "radical": _matrix_to_strings(rad.matrix),
         }
-    hz = ctx.section_csa
     if hz.sum(nil).matrix != rad.matrix:
         return {
             "hz_plus_n": _matrix_to_strings(hz.sum(nil).matrix),
@@ -436,26 +404,23 @@ def _check_decomposition_radical(ctx: _FixtureContext):
 
 
 def _check_nilpotent_radical_form(ctx: _FixtureContext):
-    h_levi = ctx.levi_csa
-    z_nil = centralizer(h_levi).intersect(ctx.nilradical)
+    composite = composite_csa(ctx.g)
+    h_levi = composite.trace[0]
+    z_nil = centralizer(h_levi).intersect(nilradical(ctx.g))
     expected = Subspace(ctx.g, h_levi.matrix + z_nil.matrix)
-    if ctx.composite.csa.matrix != expected.matrix:
+    if composite.csa.matrix != expected.matrix:
         return {
-            "composite": _matrix_to_strings(ctx.composite.csa.matrix),
+            "composite": _matrix_to_strings(composite.csa.matrix),
             "hs_plus_zn": _matrix_to_strings(expected.matrix),
         }
     return None
 
 
 def _check_quotient_pairs(ctx: _FixtureContext):
-    from .quotient import lift_cartan, push_cartan, quotient_algebra
-
     g = ctx.g
     for label, rows in ctx.ideal_specs.items():
-        from .algebra import Ideal
-
         q = quotient_algebra(g, Ideal(g, rows))
-        source_csa = ctx.composite.csa
+        source_csa = composite_csa(g).csa
         pushed = push_cartan(source_csa, q)  # raises on any axiom failure
         target_csa = regular_element_csa(q.target).csa
         lifted = lift_cartan(target_csa, q)
@@ -475,8 +440,6 @@ def _check_quotient_pairs(ctx: _FixtureContext):
 
 def _check_subideal_csa(ctx: _FixtureContext):
     """Advisory: H ∩ I sits inside some Cartan subalgebra of I (searched)."""
-    from .algebra import Ideal
-
     g = ctx.g
     limit = ctx.matrix.get("subideal_csa_dim_limit", 4)
     for label, rows in ctx.ideal_specs.items():
@@ -484,7 +447,7 @@ def _check_subideal_csa(ctx: _FixtureContext):
         if ideal.dim == 0 or ideal.dim > limit:
             continue
         frame = induced_algebra(ideal)
-        meet = frame.from_ambient(ctx.composite.csa.intersect(ideal))
+        meet = frame.from_ambient(composite_csa(g).csa.intersect(ideal))
         found = False
         for x in itertools.islice(regular_element_candidates(ideal.dim), 200):
             component = fitting_null(frame.algebra, x)
@@ -498,193 +461,169 @@ def _check_subideal_csa(ctx: _FixtureContext):
     return None
 
 
+@dataclass(frozen=True)
+class _Check:
+    """One row of a check table: the check runs on contexts where ``applies``."""
+
+    check_id: str
+    anchor: str
+    fn: Callable
+    applies: Callable = lambda ctx: True
+    advisory: bool = False
+
+
+def _run_checks(checks: list[_Check], ctx) -> tuple[CheckResult, ...]:
+    """Run every applicable check; a typed error is a failure with a witness."""
+    results = []
+    for check in checks:
+        if not check.applies(ctx):
+            continue
+        try:
+            witness = check.fn(ctx)
+        except CartanKitError as exc:
+            witness = {"error": f"{type(exc).__name__}: {exc}"}
+        results.append(
+            CheckResult(check.check_id, check.anchor, witness is None, check.advisory, witness)
+        )
+    return tuple(sorted(results, key=lambda r: r.check_id))
+
+
 _FIXTURE_CHECKS = [
-    ("core-jacobi", "[[x,y],z] + [[y,z],x] + [[z,x],y] = 0", _check_jacobi, False),
-    (
+    _Check("core-jacobi", "[[x,y],z] + [[y,z],x] + [[z,x],y] = 0", _check_jacobi),
+    _Check(
         "core-normalizer-containments",
         "L <= N(L) and Z(L) <= N(L) for every pool subalgebra L",
         _check_normalizer_containments,
-        False,
     ),
-    (
-        "core-canonical-form",
-        "respanned subspaces reduce to identical canonical matrices",
-        _check_canonical_form,
-        False,
-    ),
-    (
-        "core-killing-invariance",
-        "k([x,y],z) = k(x,[y,z]) on basis triples",
-        _check_killing_invariance,
-        False,
-    ),
-    (
-        "radicals-containments",
-        "[g,R] <= N <= R and [R,R] <= N",
-        _check_radical_containments,
-        False,
-    ),
-    (
-        "radicals-semisimple",
-        "Killing form nondegenerate iff the radical vanishes",
-        _check_semisimple_consistency,
-        False,
-    ),
-    ("levi-split", "g = S (+) R with S semisimple and R the radical", _check_levi_split, False),
-    (
-        "levi-roundtrip",
-        "induced-to-ambient coordinate maps compose to the identity",
-        _check_levi_roundtrip,
-        False,
-    ),
-    (
-        "cartan-axioms-regular",
-        "the regular-element construction is nilpotent and self-normalizing",
-        _check_axioms_regular,
-        False,
-    ),
-    (
-        "cartan-axioms-composite",
-        "H_S (+) H_{Z_R(H_S)} is nilpotent and self-normalizing",
-        _check_axioms_composite,
-        False,
-    ),
-    (
-        "cartan-rank-consistency",
-        "every construction returns a subalgebra of the rank dimension",
-        _check_rank_consistency,
-        False,
-    ),
-    (
-        "cartan-decomposition-radical",
-        "Z_R(H_S) + N = R and H_Z + N = R",
-        _check_decomposition_radical,
-        False,
-    ),
-    (
-        "quotient-correspondence",
-        "Cartan subalgebras push to and lift from every quotient in the matrix",
-        _check_quotient_pairs,
-        False,
-    ),
-    (
-        "quotient-subideal-csa",
-        "H ∩ I lies in a Cartan subalgebra of I (reported, not asserted)",
-        _check_subideal_csa,
-        True,
-    ),
-]
-
-_CONDITIONAL_CHECKS = {
-    "nilpotent-growth": (
+    _Check(
         "core-nilpotent-normalizer-growth",
         "every proper subalgebra of a nilpotent algebra grows under N(.)",
         _check_nilpotent_normalizer_growth,
-        False,
+        applies=lambda c: is_nilpotent(c.g.whole()),
     ),
-    "bruteforce-radical": (
+    _Check(
+        "core-canonical-form",
+        "respanned subspaces reduce to identical canonical matrices",
+        _check_canonical_form,
+    ),
+    _Check(
+        "core-killing-invariance",
+        "k([x,y],z) = k(x,[y,z]) on basis triples",
+        _check_killing_invariance,
+    ),
+    _Check(
         "radicals-bruteforce-radical",
         "the radical is the unique maximal solvable enumerated ideal",
         _check_bruteforce_radical,
-        False,
+        applies=lambda c: c.g.dim <= BRUTEFORCE_RADICAL_DIM,
     ),
-    "bruteforce-nilradical": (
+    _Check(
         "radicals-bruteforce-nilradical",
         "the nilradical is the unique maximal nilpotent enumerated ideal",
         _check_bruteforce_nilradical,
-        False,
+        applies=lambda c: c.g.dim <= BRUTEFORCE_RADICAL_DIM,
     ),
-    "chain-recipe": (
+    _Check(
+        "radicals-containments",
+        "[g,R] <= N <= R and [R,R] <= N",
+        _check_radical_containments,
+    ),
+    _Check(
+        "radicals-semisimple",
+        "Killing form nondegenerate iff the radical vanishes",
+        _check_semisimple_consistency,
+    ),
+    _Check("levi-split", "g = S (+) R with S semisimple and R the radical", _check_levi_split),
+    _Check(
+        "levi-roundtrip",
+        "induced-to-ambient coordinate maps compose to the identity",
+        _check_levi_roundtrip,
+    ),
+    _Check(
+        "cartan-axioms-regular",
+        "the regular-element construction is nilpotent and self-normalizing",
+        _check_axioms_regular,
+    ),
+    _Check(
+        "cartan-axioms-composite",
+        "H_S (+) H_{Z_R(H_S)} is nilpotent and self-normalizing",
+        _check_axioms_composite,
+    ),
+    _Check(
         "cartan-axioms-chain",
         "the normalizer chain grows strictly to a Cartan subalgebra within dim steps",
         _check_chain_recipe,
-        False,
+        applies=lambda c: is_solvable(c.g.whole()),
     ),
-    "maximal-nilpotent": (
+    _Check(
+        "cartan-rank-consistency",
+        "every construction returns a subalgebra of the rank dimension",
+        _check_rank_consistency,
+    ),
+    _Check(
         "cartan-maximal-nilpotent",
         "nilpotent self-normalizing pool subalgebras are maximal nilpotent of rank dimension",
         _check_maximal_nilpotent,
-        False,
+        applies=lambda c: c.g.dim <= BRUTEFORCE_CARTAN_DIM and is_solvable(c.g.whole()),
     ),
-    "selfcentralizing": (
+    _Check(
         "cartan-selfcentralizing",
         "a Cartan subalgebra of a semisimple algebra is its own centralizer",
         _check_selfcentralizing,
-        False,
+        applies=lambda c: is_semisimple(c.g),
     ),
-    "nilpotent-radical-form": (
+    _Check(
+        "cartan-decomposition-radical",
+        "Z_R(H_S) + N = R and H_Z + N = R",
+        _check_decomposition_radical,
+    ),
+    _Check(
         "cartan-nilpotent-radical-form",
         "with nilpotent radical the composite equals H_S (+) Z_N(H_S)",
         _check_nilpotent_radical_form,
-        False,
+        applies=lambda c: is_nilpotent(radical(c.g)),
     ),
-}
-
-
-def _run_check(check_id: str, anchor: str, fn, advisory: bool, ctx) -> CheckResult:
-    try:
-        witness = fn(ctx)
-        passed = witness is None
-    except CartanKitError as exc:
-        passed = False
-        witness = {"error": f"{type(exc).__name__}: {exc}"}
-    return CheckResult(
-        check_id=check_id, anchor=anchor, passed=passed, advisory=advisory, witness=witness
-    )
+    _Check(
+        "quotient-correspondence",
+        "Cartan subalgebras push to and lift from every quotient in the matrix",
+        _check_quotient_pairs,
+    ),
+    _Check(
+        "quotient-subideal-csa",
+        "H ∩ I lies in a Cartan subalgebra of I (reported, not asserted)",
+        _check_subideal_csa,
+        advisory=True,
+    ),
+]
 
 
 def verify_fixture(name: str, algebra: LieAlgebra, matrix: dict) -> FixtureReport:
     ctx = _FixtureContext(name, algebra, matrix)
-    results = [
-        _run_check(cid, anchor, fn, advisory, ctx)
-        for cid, anchor, fn, advisory in _FIXTURE_CHECKS
-    ]
-
-    def add(key):
-        cid, anchor, fn, advisory = _CONDITIONAL_CHECKS[key]
-        results.append(_run_check(cid, anchor, fn, advisory, ctx))
-
-    whole = algebra.whole()
-    if is_nilpotent(whole):
-        add("nilpotent-growth")
-    if algebra.dim <= BRUTEFORCE_RADICAL_DIM:
-        add("bruteforce-radical")
-        add("bruteforce-nilradical")
-    if is_solvable(whole):
-        add("chain-recipe")
-        if algebra.dim <= BRUTEFORCE_CARTAN_DIM:
-            add("maximal-nilpotent")
-    if is_semisimple(algebra):
-        add("selfcentralizing")
-    if is_nilpotent(ctx.radical):
-        add("nilpotent-radical-form")
-    results.sort(key=lambda r: r.check_id)
-    return FixtureReport(fixture=name, results=tuple(results))
+    return FixtureReport(fixture=name, results=_run_checks(_FIXTURE_CHECKS, ctx))
 
 
 # ---------------------------------------------------------------------------
-# Power-map model checks (instance-scoped).
+# Power-map model checks: one context per model instance, one for the triples.
 # ---------------------------------------------------------------------------
 
 
-def _model_context(matrix: dict):
-    cfg = matrix.get("powermap", {})
-    models = bundled_models()
-    instances = {
-        name: load_instance(models[name]) for name in cfg.get("instances", [])
-    }
-    triples = load_triples(models[cfg.get("triples", "triples")])
-    return instances, triples, int(cfg.get("k_max", 99)), int(cfg.get("bruteforce_order_limit", 10000))
+@dataclass(frozen=True)
+class _ModelContext:
+    name: str
+    instance: GroupDensityInstance | None
+    triples: list[ModelTriple] | None
+    k_max: int
+    order_limit: int
 
 
-def _check_model_bruteforce(instance: GroupDensityInstance, k_max: int, order_limit: int):
-    for idx, model in enumerate(instance.cartan_models):
+def _check_model_bruteforce(ctx: _ModelContext):
+    for idx, model in enumerate(ctx.instance.cartan_models):
         total = 1
         for m in model.component_orders:
             total *= m
-        if total > order_limit:
+        if total > ctx.order_limit:
             continue
-        for k in range(1, k_max + 1):
+        for k in range(1, ctx.k_max + 1):
             fast = pk_surjective(model, k)
             slow = powers_surjective_bruteforce(model.component_orders, k) if model.component_orders else True
             if fast != slow:
@@ -692,14 +631,14 @@ def _check_model_bruteforce(instance: GroupDensityInstance, k_max: int, order_li
     return None
 
 
-def _check_model_k1(instance: GroupDensityInstance, k_max: int, order_limit: int):
-    if not density_from_cartans(instance, 1):
+def _check_model_k1(ctx: _ModelContext):
+    if not density_from_cartans(ctx.instance, 1):
         return {"k": 1}
     return None
 
 
-def _check_model_multiplicativity(instance: GroupDensityInstance, k_max: int, order_limit: int):
-    for idx, model in enumerate(instance.cartan_models):
+def _check_model_multiplicativity(ctx: _ModelContext):
+    for idx, model in enumerate(ctx.instance.cartan_models):
         for k1 in range(1, 13):
             for k2 in range(1, 13):
                 joint = pk_surjective(model, k1 * k2)
@@ -709,101 +648,86 @@ def _check_model_multiplicativity(instance: GroupDensityInstance, k_max: int, or
     return None
 
 
-def _check_model_weak_exponentiality(instance: GroupDensityInstance, k_max: int, order_limit: int):
-    verdict = weakly_exponential_model(instance, k_max=max(2, min(k_max, 20)))
-    enumerated = all(density_from_cartans(instance, k) for k in range(1, 102))
+def _check_model_weak_exponentiality(ctx: _ModelContext):
+    verdict = weakly_exponential_model(ctx.instance)
+    enumerated = all(density_from_cartans(ctx.instance, k) for k in range(1, 102))
     if verdict != enumerated:
         return {"verdict": verdict, "enumdensity_to_101": enumerated}
     return None
 
 
-def _check_sl2r_parity(instance: GroupDensityInstance, k_max: int, order_limit: int):
-    for k in range(1, k_max + 1):
-        dense = density_from_cartans(instance, k)
+def _check_sl2r_parity(ctx: _ModelContext):
+    for k in range(1, ctx.k_max + 1):
+        dense = density_from_cartans(ctx.instance, k)
         if dense != (k % 2 == 1):
             return {"k": k, "dense": dense}
     return None
 
 
+def _check_composition(ctx: _ModelContext):
+    for triple in ctx.triples:
+        for k in range(1, ctx.k_max + 1):
+            h = density_from_cartans(triple.subgroup, k)
+            q = density_from_cartans(triple.quotient, k)
+            g = density_from_cartans(triple.group, k)
+            if not composition_holds(h, q, g):
+                return {"triple": triple.name, "k": k, "h": h, "quotient": q, "group": g}
+    return None
+
+
+def _on_instance(ctx: _ModelContext) -> bool:
+    return ctx.instance is not None
+
+
 _MODEL_CHECKS = [
-    (
+    _Check(
         "powermap-bruteforce",
         "gcd surjectivity criterion matches finite enumeration",
         _check_model_bruteforce,
+        _on_instance,
     ),
-    ("powermap-k1", "the first power map is onto every model", _check_model_k1),
-    (
+    _Check("powermap-k1", "the first power map is onto every model", _check_model_k1, _on_instance),
+    _Check(
         "powermap-multiplicativity",
         "surjective for k1*k2 iff surjective for k1 and for k2",
         _check_model_multiplicativity,
+        _on_instance,
     ),
-    (
+    _Check(
         "powermap-weak-exponentiality",
         "dense for every k iff no finite component anywhere",
         _check_model_weak_exponentiality,
+        _on_instance,
+    ),
+    _Check(
+        "powermap-sl2r-parity",
+        "the split Cartan class blocks exactly the even powers",
+        _check_sl2r_parity,
+        applies=lambda c: c.name == "sl2r-model",
+    ),
+    _Check(
+        "powermap-composition",
+        "density on subgroup and quotient implies density on the group",
+        _check_composition,
+        applies=lambda c: c.triples is not None,
     ),
 ]
 
 
 def verify_models(matrix: dict) -> list[FixtureReport]:
-    instances, triples, k_max, order_limit = _model_context(matrix)
-    reports = []
-    for name in sorted(instances):
-        instance = instances[name]
-        results = []
-        for cid, anchor, fn in _MODEL_CHECKS:
-            try:
-                witness = fn(instance, k_max, order_limit)
-                passed = witness is None
-            except CartanKitError as exc:
-                passed, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
-            results.append(
-                CheckResult(check_id=cid, anchor=anchor, passed=passed, advisory=False, witness=witness)
-            )
-        if name == "sl2r-model":
-            try:
-                witness = _check_sl2r_parity(instance, k_max, order_limit)
-                passed = witness is None
-            except CartanKitError as exc:
-                passed, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
-            results.append(
-                CheckResult(
-                    check_id="powermap-sl2r-parity",
-                    anchor="the split Cartan class blocks exactly the even powers",
-                    passed=passed,
-                    advisory=False,
-                    witness=witness,
-                )
-            )
-        results.sort(key=lambda r: r.check_id)
-        reports.append(FixtureReport(fixture=f"model:{name}", results=tuple(results)))
-
-    witness = None
-    for triple in triples:
-        for k in range(1, k_max + 1):
-            h = density_from_cartans(triple.subgroup, k)
-            q = density_from_cartans(triple.quotient, k)
-            g = density_from_cartans(triple.group, k)
-            if not composition_holds(h, q, g):
-                witness = {"triple": triple.name, "k": k, "h": h, "quotient": q, "group": g}
-                break
-        if witness:
-            break
-    reports.append(
-        FixtureReport(
-            fixture="model:triples",
-            results=(
-                CheckResult(
-                    check_id="powermap-composition",
-                    anchor="density on subgroup and quotient implies density on the group",
-                    passed=witness is None,
-                    advisory=False,
-                    witness=witness,
-                ),
-            ),
-        )
-    )
-    return reports
+    cfg = matrix.get("powermap", {})
+    models = bundled_models()
+    k_max, order_limit = int(cfg.get("k_max", 99)), int(cfg.get("bruteforce_order_limit", 10000))
+    contexts = [
+        _ModelContext(name, load_instance(models[name]), None, k_max, order_limit)
+        for name in sorted(set(cfg.get("instances", [])))
+    ]
+    triples = load_triples(models[cfg.get("triples", "triples")])
+    contexts.append(_ModelContext("triples", None, triples, k_max, order_limit))
+    return [
+        FixtureReport(fixture=f"model:{c.name}", results=_run_checks(_MODEL_CHECKS, c))
+        for c in contexts
+    ]
 
 
 # ---------------------------------------------------------------------------

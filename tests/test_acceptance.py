@@ -5,7 +5,10 @@ equality of canonical forms; there are no numeric tolerances to tune.
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -214,9 +217,15 @@ def test_criterion_7_power_map_suite(matrix):
     report(7, "power-map criterion matches enumeration; parity and composition hold", ok)
 
 
+EXPECTED_VERIFY = Path(__file__).resolve().parent.parent / "bench" / "expected_verify.json"
+
+
 def test_criterion_8_deterministic_reports():
     runner = CliRunner()
     first = runner.invoke(main, ["verify", "--all", "--json"])
     second = runner.invoke(main, ["verify", "--all", "--json"])
     ok = first.exit_code == 0 and second.exit_code == 0 and first.output == second.output
-    report(8, "repeated verify --json runs are byte-identical and green", ok)
+    # the recorded digest pins the report bytes across changes, not only runs
+    expected = json.loads(EXPECTED_VERIFY.read_text(encoding="utf-8"))["verify_all_sha256"]
+    ok = ok and hashlib.sha256(first.output.encode("utf-8")).hexdigest() == expected
+    report(8, "repeated verify --json runs are byte-identical, green and as recorded", ok)

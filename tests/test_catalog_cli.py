@@ -158,6 +158,31 @@ def test_cli_analyze_missing_file_exit_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze"],
+        ["cartan"],
+        ["levi"],
+        ["quotient", "--ideal", "[]"],
+        ["powermap", "-k", "2"],
+        ["verify"],
+    ],
+    ids=lambda args: args[0],
+)
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_cli_unreadable_input_exit_2(runner, tmp_path, args, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe")
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_cli_analyze_jacobi_violation_exit_2(runner, tmp_path):
     path = write_json(tmp_path, "broken.json", BAD_JACOBI)
     result = runner.invoke(main, ["analyze", str(path)])

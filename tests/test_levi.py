@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from cartankit import linalg
-from cartankit.algebra import LieAlgebra, Subalgebra, Subspace, killing_form
-from cartankit.errors import NotClosed
+from cartankit.algebra import LieAlgebra, Subalgebra, Subspace, killing_form, per_algebra
+from cartankit.catalog import load_bundled
+from cartankit.errors import InternalInconsistency, NotClosed
 from cartankit.levi import induced_algebra, levi_decomposition
 from cartankit.radicals import is_semisimple, radical
 
@@ -154,3 +155,25 @@ def test_induced_roundtrip(sl2xheis):
     assert frame.from_ambient(ambient).matrix == inner.matrix
     again = frame.to_ambient(frame.from_ambient(ambient))
     assert again.matrix == ambient.matrix
+
+
+def test_invariants_are_memoized_per_algebra():
+    g = load_bundled("sl2xheis")
+    assert radical(g) is radical(g)
+    assert levi_decomposition(g).radical is radical(g)
+    # the memo lives on the instance: an equal algebra computes its own
+    twin = load_bundled("sl2xheis")
+    assert twin == g and radical(twin) is not radical(g)
+    # a call that raises stores nothing
+    attempts = []
+
+    @per_algebra
+    def fails_once(h):
+        attempts.append(h)
+        if len(attempts) == 1:
+            raise InternalInconsistency("first call")
+        return len(attempts)
+
+    with pytest.raises(InternalInconsistency):
+        fails_once(g)
+    assert fails_once(g) == 2 and fails_once(g) == 2

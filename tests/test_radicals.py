@@ -11,6 +11,9 @@ from cartankit.algebra import (
     is_solvable,
     killing_form,
 )
+from cartankit import radicals
+from cartankit.catalog import load_bundled
+from cartankit.errors import InternalInconsistency
 from cartankit.radicals import (
     bruteforce_max_nilpotent_ideal,
     bruteforce_max_solvable_ideal,
@@ -59,6 +62,16 @@ def test_nilradical_of_oscillator(oscillator):
     assert nilradical(oscillator).matrix == Subspace(
         oscillator, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     ).matrix
+
+
+def test_nilradical_wrong_layered_result_raises(monkeypatch):
+    # a wrong layered result is a bug: no silent brute-force fallback, even
+    # on an algebra small enough to enumerate
+    g = load_bundled("e2")  # fresh instance: nothing memoized yet
+    assert g.dim <= 6
+    monkeypatch.setattr(radicals, "_nilradical_layered", lambda g, rad: g.zero_subspace())
+    with pytest.raises(InternalInconsistency):
+        nilradical(g)
 
 
 def test_nilradical_needs_more_than_trace_forms():
