@@ -5,11 +5,12 @@ Self-normalizing already forces maximal nilpotency: inside any larger
 nilpotent subalgebra a proper member strictly grows under the normalizer,
 so the two-condition check is the right finite-dimensional criterion.
 
-Three routes are provided: the regular-element oracle (Fitting null
-component of an adjoint with minimal generalized nullity), the normalizer
-chain for solvable algebras (iterate L -> N(L) to the fixed point), and the
-composite construction (Cartan subalgebra of a Levi part, joined with one
-of its centralizer's inside the radical).
+Three routes are provided: the Fitting-null recursion (shrink a subalgebra
+K to the Fitting null component of a non-nilpotent adjoint until it is
+nilpotent; it runs on any subalgebra and always terminates), the
+normalizer chain for solvable algebras (iterate L -> N(L) to the fixed
+point), and the composite construction (Cartan subalgebra of a Levi part,
+joined with one of its centralizer's inside the radical).
 """
 
 from __future__ import annotations
@@ -35,13 +36,9 @@ from .errors import (
     NonNilpotentIterate,
     NotClosed,
     NotSolvable,
-    SearchExhausted,
 )
-from .levi import LeviDecomposition, induced_algebra, levi_decomposition
-from .linalg import Vec
+from .levi import LeviDecomposition, levi_decomposition
 from .radicals import nilradical
-
-SEARCH_BUDGET_FACTOR = 10
 
 
 class CsaMethod(enum.Enum):
@@ -65,66 +62,80 @@ def is_cartan_subalgebra(h: Subspace) -> bool:
     return normalizer(sub).matrix == sub.matrix
 
 
-def fitting_null(g: LieAlgebra, x) -> Subspace:
-    """Generalized 0-eigenspace of ad(x): ker(ad x)^dim."""
-    power = linalg.mat_pow(g.ad(x), g.dim)
-    return Subspace(g, linalg.kernel(power, width=g.dim))
+def fitting_null(k: Subspace, x) -> Subspace:
+    """Fitting null component of ad(x) on a subalgebra K: ker(ad_K x)^dim K.
 
-
-def regular_element_candidates(dim: int):
-    """Basis vectors, then {-1,0,1} combinations in graded lex order.
-
-    Sign patterns fix the first nonzero entry to +1 since x and -x have the
-    same Fitting null component.
+    ``x`` must lie in K.  Every [x, b] then lies in K, and its coordinates
+    over K's canonical rows are its entries at K's pivot columns, so the
+    matrix that is raised to a power has size dim K.  With ``K = g.whole()``
+    it is ad(x) itself.
     """
-    for i in range(dim):
-        yield linalg.unit_vec(dim, i)
-    for weight in range(2, dim + 1):
-        for support in itertools.combinations(range(dim), weight):
-            for signs in itertools.product((1, -1), repeat=weight - 1):
-                v = [0] * dim
-                v[support[0]] = 1
-                for pos, s in zip(support[1:], signs):
-                    v[pos] = s
-                yield linalg.vec(v)
+    if not k.contains(x):
+        raise HypothesisViolated("the element does not lie in the subalgebra")
+    rows = k.matrix
+    images = [k.ambient.bracket(x, b) for b in rows]
+    ad_k = tuple(tuple(w[p] for w in images) for p in linalg.pivot_columns(rows))
+    null = linalg.kernel(linalg.mat_pow(ad_k, len(rows)), width=len(rows))
+    return Subspace(k.ambient, linalg.mat_mul(null, rows))
+
+
+def fitting_null_recursion(k: Subalgebra) -> CartanResult:
+    """A Cartan subalgebra of the subalgebra K, in ambient coordinates.
+
+    While K is not nilpotent, take the first canonical row of K whose
+    adjoint action on K is not nilpotent, or failing that the first sum of
+    two rows, and replace K by its Fitting null component K_0(ad_K x).
+    That is a proper subalgebra, and a Cartan subalgebra of it is one of K
+    (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000, ch. 3; de
+    Graaf, Ivanyos and Ronyai, "Computing Cartan subalgebras of Lie
+    algebras", AAECC 7, 1996).  Each step lowers dim K, so the loop ends
+    after at most dim K steps and needs no search budget.
+
+    The candidates always suffice.  If every row and every pairwise sum
+    acted nilpotently, each would be isotropic for the Killing form of K,
+    so by polarization k(a, b) = (k(a+b, a+b) - k(a, a) - k(b, b)) / 2 the
+    form would vanish on the basis, and K would be solvable by Cartan's
+    criterion.  By Lie's theorem the ad-nilpotent elements of a solvable K
+    form a subspace; it contains the basis, so it is all of K, and K is
+    nilpotent by Engel's theorem.
+
+    The trace is the chain K = K_0 > K_1 > ... > K_r, whose last member is
+    the returned Cartan subalgebra.  Callers check the result in their own
+    ambient algebra.
+    """
+    chain: list[Subspace] = [k]
+    while not is_nilpotent(chain[-1]):
+        current = chain[-1]
+        rows = current.matrix
+        sums = (linalg.vec_add(a, b) for a, b in itertools.combinations(rows, 2))
+        for x in itertools.chain(rows, sums):
+            component = fitting_null(current, x)
+            if component.dim < current.dim:
+                chain.append(component)
+                break
+        else:
+            raise InternalInconsistency(
+                f"no row or pairwise sum acts non-nilpotently on a non-nilpotent subalgebra of dim {current.dim}"
+            )
+    csa = Subalgebra(k.ambient, chain[-1].matrix)
+    return CartanResult(csa=csa, method=CsaMethod.REGULAR_ELEMENT, trace=tuple(chain))
 
 
 @per_algebra
 def regular_element_csa(g: LieAlgebra) -> CartanResult:
-    """Fitting null component of a minimal-nullity element in the search order.
-
-    Returns the first candidate attaining the minimal generalized nullity.
-    A strict-improvement candidate whose Fitting null passes the Cartan
-    axioms has nullity equal to the rank, so nothing later in the sequence
-    can beat it and nothing earlier could have tied it (a tie would have
-    been regular and returned already); stopping there is exact.
-    """
-    if g.dim == 0:
-        whole = g.whole()
-        return CartanResult(csa=whole, method=CsaMethod.REGULAR_ELEMENT, trace=(whole,))
-    budget = SEARCH_BUDGET_FACTOR * g.dim * g.dim
-    scanned = 0
-    best: int | None = None
-    trace: list[Subspace] = []
-    for x in itertools.islice(regular_element_candidates(g.dim), budget):
-        scanned += 1
-        nullity = g.dim - linalg.rank(linalg.mat_pow(g.ad(x), g.dim))
-        if best is not None and nullity >= best:
-            continue
-        best = nullity
-        component = fitting_null(g, x)
-        trace.append(component)
-        sub = Subalgebra(g, component.matrix)
-        if is_cartan_subalgebra(sub):
-            return CartanResult(csa=sub, method=CsaMethod.REGULAR_ELEMENT, trace=tuple(trace))
-    raise SearchExhausted(
-        f"no candidate among {scanned} produced a Cartan subalgebra; "
-        "the search budget is too small for this algebra"
-    )
+    """The Fitting-null recursion on the whole algebra, checked in g."""
+    result = fitting_null_recursion(g.whole())
+    if not is_cartan_subalgebra(result.csa):
+        raise InternalInconsistency("Fitting-null recursion result fails the Cartan axioms")
+    return result
 
 
 def rank(g: LieAlgebra) -> int:
-    """Minimal generalized nullity of an adjoint; the common CSA dimension."""
+    """The dimension shared by all Cartan subalgebras of g.
+
+    It equals the minimal generalized nullity of an adjoint; it is read off
+    the Cartan subalgebra that the Fitting-null recursion returns.
+    """
     return regular_element_csa(g).csa.dim
 
 
@@ -133,9 +144,10 @@ def normalizer_chain_csa(g: LieAlgebra, start: Subspace | None = None) -> Cartan
 
     Each iterate strictly grows until the chain hits a self-normalizing
     member, and every iterate must stay nilpotent; the fixed point is then
-    a Cartan subalgebra.  Without an explicit start the Fitting null
-    component of a regular element is used, which already satisfies the
-    hypotheses and keeps the chain short.
+    a Cartan subalgebra.  Without an explicit start the Cartan subalgebra
+    from the Fitting-null recursion is used: it satisfies the hypotheses
+    (for solvable g, H + [g, g] = g and [g, g] lies in the nilradical), and
+    being self-normalizing it ends the chain at once.
     """
     whole = g.whole()
     if not is_solvable(whole):
@@ -183,29 +195,19 @@ def composite_csa(g: LieAlgebra) -> CartanResult:
 
     With H_S a Cartan subalgebra of the Levi part and Z the centralizer of
     H_S inside the radical, H_S + H_Z is a Cartan subalgebra of g for any
-    Cartan subalgebra H_Z of Z.  The inner Cartan subalgebras come from the
-    regular-element oracle; the normalizer chain is exposed separately as
-    the solvable-side route and cross-checked in the test suite.
+    Cartan subalgebra H_Z of Z.  Both inner Cartan subalgebras come from the
+    Fitting-null recursion, run on the Levi part and on Z where they sit in
+    g; only the joined result is checked against the Cartan axioms in g.
+    The normalizer chain is exposed separately as the solvable-side route
+    and cross-checked in the test suite.
 
     The trace holds the parts in the order (H_S, Z_R(H_S), H_Z, H), all in
     ambient coordinates, with H = H_S + H_Z the returned Cartan subalgebra.
     """
     decomp = levi_decomposition(g)
-    if decomp.levi.dim:
-        levi_frame = induced_algebra(decomp.levi)
-        h_levi = Subalgebra(
-            g, levi_frame.to_ambient(regular_element_csa(levi_frame.algebra).csa).matrix
-        )
-    else:
-        h_levi = g.zero_subalgebra()
+    h_levi = fitting_null_recursion(decomp.levi).csa
     section = centralizer_in_radical(h_levi, decomp)
-    if section.dim:
-        section_frame = induced_algebra(section)
-        h_section = Subalgebra(
-            g, section_frame.to_ambient(regular_element_csa(section_frame.algebra).csa).matrix
-        )
-    else:
-        h_section = g.zero_subalgebra()
+    h_section = fitting_null_recursion(section).csa
     if h_levi.intersect(h_section).dim != 0:
         raise InternalInconsistency("composite parts are not complementary")
     joined = Subalgebra(g, h_levi.sum(h_section).matrix)

@@ -94,7 +94,7 @@ def algebra_from_dict(data: dict, skip_jacobi: bool = False) -> LieAlgebra:
         brackets = data.get("brackets", {})
     except KeyError as exc:
         raise ParseError(f"missing field: {exc}") from exc
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise ParseError(f"dim must be a non-negative integer, got {dim!r}")
     if not isinstance(basis, list) or len(basis) != dim:
         raise ParseError("basis must list exactly dim labels")
@@ -112,6 +112,8 @@ def algebra_from_dict(data: dict, skip_jacobi: bool = False) -> LieAlgebra:
             raise IndexOutOfRange(f"bracket key {key!r} indexes outside dim {dim}")
         if i >= j:
             raise ParseError(f"bracket key {key!r} must have i < j; the other side is derived")
+        if (i, j) in constants:
+            raise ParseError(f"bracket key {key!r} repeats the pair ({i},{j})")
         if not isinstance(entry, dict):
             raise ParseError(f"bracket entry for {key!r} must map k -> rational string")
         row: dict[int, Fraction] = {}
@@ -122,6 +124,8 @@ def algebra_from_dict(data: dict, skip_jacobi: bool = False) -> LieAlgebra:
                 raise ParseError(f"bad target index {k_text!r} under {key!r}") from exc
             if not (0 <= k < dim):
                 raise IndexOutOfRange(f"target index {k} under {key!r} outside dim {dim}")
+            if k in row:
+                raise ParseError(f"target index {k_text!r} under {key!r} repeats index {k}")
             row[k] = parse_rational(value)
         constants[(i, j)] = row
 

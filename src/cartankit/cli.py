@@ -40,7 +40,6 @@ from .errors import (
     NotSolvable,
     ParseError,
     PostconditionFailure,
-    SearchExhausted,
 )
 from .levi import levi_decomposition
 from .powermap import density_from_cartans, load_instance, pk_surjective
@@ -71,7 +70,6 @@ _INTERNAL_ERRORS = (
     InternalInconsistency,
     LiftFailure,
     PostconditionFailure,
-    SearchExhausted,
 )
 
 

@@ -59,10 +59,6 @@ class LiftFailure(CartanKitError):
     """A Levi-complement correction system was inconsistent (signals a bug)."""
 
 
-class SearchExhausted(CartanKitError):
-    """The regular-element search budget was exhausted without success."""
-
-
 class PostconditionFailure(CartanKitError):
     """A guaranteed output property failed verification (never recoverable)."""
 

@@ -126,15 +126,26 @@ def powers_surjective_bruteforce(orders, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _json_integer(value, what: str) -> int:
+    """A JSON integer as is; booleans, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"malformed Cartan class model: {what} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> CartanGroupModel:
     try:
-        return CartanGroupModel(
-            vector_rank=int(data["vector_rank"]),
-            torus_rank=int(data["torus_rank"]),
-            component_orders=tuple(int(m) for m in data.get("component_orders", [])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        vector_rank, torus_rank = data["vector_rank"], data["torus_rank"]
+        orders = data.get("component_orders", [])
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed Cartan class model: {exc}") from exc
+    if not isinstance(orders, list):
+        raise ParseError(f"malformed Cartan class model: component_orders must be a list, got {orders!r}")
+    return CartanGroupModel(
+        vector_rank=_json_integer(vector_rank, "vector_rank"),
+        torus_rank=_json_integer(torus_rank, "torus_rank"),
+        component_orders=tuple(_json_integer(m, "a component order") for m in orders),
+    )
 
 
 def instance_from_dict(data: dict) -> GroupDensityInstance:

@@ -116,20 +116,18 @@ def lift_cartan(h_target: Subspace, q: QuotientMap) -> Subalgebra:
 
     Mirrors the existence proof: take the full preimage of the target
     Cartan subalgebra and return a Cartan subalgebra of that preimage,
-    found with the regular-element oracle (the preimage need not be
-    solvable, so the normalizer chain is not available here).
+    found by the Fitting-null recursion run on the preimage where it sits
+    in the source (the preimage need not be solvable, so the normalizer
+    chain is not available here).
     """
-    from .cartan import is_cartan_subalgebra, regular_element_csa
-    from .levi import induced_algebra
+    from .cartan import fitting_null_recursion, is_cartan_subalgebra
 
     if h_target.ambient != q.target:
         raise DimensionMismatch("subalgebra does not live in the quotient target")
     if not is_cartan_subalgebra(h_target):
         raise NotCartan("lift_cartan requires a Cartan subalgebra of the quotient")
     preimage = Subalgebra(q.source, q.preimage_subspace(h_target).matrix)
-    frame = induced_algebra(preimage)
-    inner = regular_element_csa(frame.algebra)
-    lifted = Subalgebra(q.source, frame.to_ambient(inner.csa).matrix)
+    lifted = fitting_null_recursion(preimage).csa
     if q.push_subspace(lifted).matrix != linalg.rref(h_target.matrix):
         raise PostconditionFailure("lifted Cartan subalgebra does not project onto the input")
     if not is_cartan_subalgebra(lifted):

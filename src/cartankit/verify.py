@@ -34,10 +34,9 @@ from .algebra import (
 from .cartan import (
     CartanResult,
     composite_csa,
-    fitting_null,
+    fitting_null_recursion,
     is_cartan_subalgebra,
     normalizer_chain_csa,
-    regular_element_candidates,
     regular_element_csa,
 )
 from .catalog import (
@@ -299,11 +298,11 @@ def _check_levi_roundtrip(ctx: _FixtureContext):
     if decomp.levi.dim == 0:
         return None
     frame = induced_algebra(decomp.levi)
-    inner = regular_element_csa(frame.algebra).csa
-    back = frame.from_ambient(frame.to_ambient(inner))
-    if back.matrix != inner.matrix:
+    h_levi = composite_csa(ctx.g).trace[0]
+    back = frame.to_ambient(frame.from_ambient(h_levi))
+    if back.matrix != h_levi.matrix:
         return {
-            "inner": _matrix_to_strings(inner.matrix),
+            "inner": _matrix_to_strings(h_levi.matrix),
             "roundtrip": _matrix_to_strings(back.matrix),
         }
     return None
@@ -439,24 +438,12 @@ def _check_quotient_pairs(ctx: _FixtureContext):
 
 
 def _check_subideal_csa(ctx: _FixtureContext):
-    """Advisory: H ∩ I sits inside some Cartan subalgebra of I (searched)."""
+    """Advisory: H ∩ I sits inside the Cartan subalgebra of I that the recursion finds."""
     g = ctx.g
-    limit = ctx.matrix.get("subideal_csa_dim_limit", 4)
     for label, rows in ctx.ideal_specs.items():
         ideal = Ideal(g, rows)
-        if ideal.dim == 0 or ideal.dim > limit:
-            continue
-        frame = induced_algebra(ideal)
-        meet = frame.from_ambient(composite_csa(g).csa.intersect(ideal))
-        found = False
-        for x in itertools.islice(regular_element_candidates(ideal.dim), 200):
-            component = fitting_null(frame.algebra, x)
-            if not is_cartan_subalgebra(Subalgebra(frame.algebra, component.matrix)):
-                continue
-            if component.contains_subspace(meet):
-                found = True
-                break
-        if not found:
+        meet = composite_csa(g).csa.intersect(ideal)
+        if not fitting_null_recursion(ideal).csa.contains_subspace(meet):
             return {"ideal": label, "meet": _matrix_to_strings(meet.matrix)}
     return None
 

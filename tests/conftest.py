@@ -1,6 +1,12 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from cartankit.catalog import bundled_fixtures, load_algebra
+from cartankit.catalog import algebra_from_dict, bundled_fixtures, load_algebra
+
+LADDER = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +53,17 @@ def sl2xr2(catalog):
 @pytest.fixture(scope="session")
 def sl2xheis(catalog):
     return catalog["sl2xheis"]
+
+
+@pytest.fixture(scope="session")
+def ladder_algebra():
+    """Algebras of the benchmark's generated ladder, e.g. ``gl3`` or ``b4``.
+
+    ``bench/ladder.py`` is imported read-only from its file; it does not
+    import cartankit, so its closed-form answers stay independent oracles.
+    """
+    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER)
+    ladder = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = ladder  # dataclasses resolve annotations through it
+    spec.loader.exec_module(ladder)
+    return lambda name: algebra_from_dict(ladder.family(name).to_json())

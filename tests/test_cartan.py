@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction as F
 
 import pytest
 
@@ -22,7 +21,6 @@ from cartankit.cartan import (
     is_cartan_subalgebra,
     normalizer_chain_csa,
     rank,
-    regular_element_candidates,
     regular_element_csa,
 )
 from cartankit.errors import HypothesisViolated, NotSolvable
@@ -70,19 +68,8 @@ def test_cartan_check_rejects_open_spans(sl2):
 # ---------------------------------------------------------------------------
 
 
-def test_candidate_sequence_prefix():
-    seq = list(itertools.islice(regular_element_candidates(3), 8))
-    assert seq[0] == (F(1), F(0), F(0))
-    assert seq[1] == (F(0), F(1), F(0))
-    assert seq[2] == (F(0), F(0), F(1))
-    # weight-2 combinations follow, first support (0,1), plus sign first
-    assert seq[3] == (F(1), F(1), F(0))
-    assert seq[4] == (F(1), F(-1), F(0))
-    assert seq[5] == (F(1), F(0), F(1))
-
-
 def test_fitting_null_of_h(sl2):
-    component = fitting_null(sl2, H)
+    component = fitting_null(sl2.whole(), H)
     assert component.matrix == Subspace(sl2, [H]).matrix
     # grid oracle: the component is exactly the kernel of ad(h)^3
     power = linalg.mat_pow(sl2.ad(H), 3)
@@ -97,6 +84,15 @@ def test_regular_csa_sl2(sl2):
     assert result.csa.matrix == Subspace(sl2, [H]).matrix  # h is tried first
     assert result.trace and result.trace[-1].matrix == result.csa.matrix
     assert rank(sl2) == 1
+
+
+def test_fitting_null_follows_the_subalgebra(gl2):
+    # ad(h) on gl2 kills h and the centre z; on the sl2 part only h
+    levi = Subalgebra(gl2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    assert fitting_null(gl2.whole(), H + (0,)).matrix == Subspace(gl2, [(1, 0, 0, 0), (0, 0, 0, 1)]).matrix
+    assert fitting_null(levi, H + (0,)).matrix == Subspace(gl2, [(1, 0, 0, 0)]).matrix
+    with pytest.raises(HypothesisViolated):
+        fitting_null(levi, (0, 0, 0, 1))
 
 
 def test_regular_csa_nilpotent_returns_whole(h3):
@@ -115,6 +111,25 @@ def test_regular_csa_zero_dim():
     assert result.csa.dim == 0 and len(result.trace) == 1
 
 
+def test_recursion_takes_a_pairwise_sum():
+    # sl2 in the basis u0 = e, u1 = f, u2 = h + e - f: every basis vector is
+    # ad-nilpotent, so the first non-nilpotent candidate is u0 + u1 = e + f
+    g = LieAlgebra(
+        3,
+        {
+            (0, 1): {0: -1, 1: 1, 2: 1},
+            (0, 2): {0: -1, 1: -1, 2: -1},
+            (1, 2): {0: 1, 1: 1, 2: -1},
+        },
+    )
+    for i in range(3):
+        assert linalg.is_nilpotent_mat(g.ad(linalg.unit_vec(3, i)))
+    assert not is_nilpotent(g.whole())
+    result = regular_element_csa(g)
+    assert result.csa.matrix == Subspace(g, [(1, 1, 0)]).matrix
+    assert [s.dim for s in result.trace] == [3, 1]
+
+
 def test_rank_catalog_values(catalog):
     expected = {
         "abelian1": 1, "abelian2": 2, "abelian3": 3,
@@ -126,6 +141,23 @@ def test_rank_catalog_values(catalog):
     }
     for name, g in catalog.items():
         assert rank(g) == expected[name], name
+
+
+LADDER_RANKS = {"gl3": 3, "sl3": 2, "b3": 3, "b4": 4}
+
+
+@pytest.mark.parametrize("spec", sorted(LADDER_RANKS))
+def test_rank_ladder_closed_form(ladder_algebra, spec):
+    # rank(gl_n) = n, rank(sl_n) = n - 1, rank(b_n) = n
+    assert rank(ladder_algebra(spec)) == LADDER_RANKS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(LADDER_RANKS))
+def test_composite_and_chain_match_ladder_rank(ladder_algebra, spec):
+    g = ladder_algebra(spec)
+    assert composite_csa(g).csa.dim == LADDER_RANKS[spec]
+    if is_solvable(g.whole()):
+        assert normalizer_chain_csa(g).csa.dim == LADDER_RANKS[spec]
 
 
 # ---------------------------------------------------------------------------

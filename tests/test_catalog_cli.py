@@ -294,3 +294,21 @@ def test_rescaled_sl2_is_a_valid_algebra_and_passes(runner, tmp_path):
     path = write_json(tmp_path, "sl2-rescaled.json", payload)
     result = runner.invoke(main, ["verify", str(path)])
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": True, "basis": ["x"], "brackets": {}},
+        {"dim": 2, "basis": ["a", "b"], "brackets": {"0,1": {"1": "1"}, " 0,1": {"1": "2"}}},
+        {"dim": 2, "basis": ["a", "b"], "brackets": {"0,1": {"1": "1", "01": "2"}}},
+    ],
+    ids=["dim-true", "repeated-pair", "repeated-target"],
+)
+def test_cli_rejects_ambiguous_algebra_file(runner, tmp_path, payload):
+    # each file used to load as some other algebra: dim 1, or the later of
+    # two entries for the same bracket
+    path = write_json(tmp_path, "ambiguous.json", payload)
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output

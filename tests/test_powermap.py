@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartankit.catalog import bundled_models
+from cartankit.cli import main
 from cartankit.errors import EmptyInstance, InvalidOrder, ParseError
 from cartankit.powermap import (
     CartanGroupModel,
@@ -165,3 +167,26 @@ def test_bundled_instances_self_consistent():
         inst = load_instance(path)
         enumerated = all(density_from_cartans(inst, k) for k in range(1, 102))
         assert weakly_exponential_model(inst) == enumerated, name
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("component_orders", "35"),
+        ("component_orders", {"3": 1}),
+        ("component_orders", [2.5]),
+        ("component_orders", ["3"]),
+        ("vector_rank", True),
+        ("torus_rank", 1.9),
+        ("torus_rank", "1"),
+    ],
+    ids=["orders-string", "orders-object", "order-float", "order-string", "rank-bool", "rank-float", "rank-string"],
+)
+def test_cli_rejects_non_integer_model_fields(tmp_path, field, value):
+    # each value used to be coerced by int() into a different model
+    model = {"vector_rank": 1, "torus_rank": 0, "component_orders": [3]} | {field: value}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "bad", "cartan_classes": [model]}), encoding="utf-8")
+    result = CliRunner().invoke(main, ["powermap", str(path), "-k", "2"])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output
