@@ -47,9 +47,26 @@ def matrix_path() -> Path:
     return Path(str(_fixture_root() / MATRIX_FILE))
 
 
+def _distinct_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"key {key!r} repeats inside one object")
+        out[key] = value
+    return out
+
+
+def read_json(path):
+    """Parse a JSON file; a key repeated inside one object raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_distinct_keys)
+    except (json.JSONDecodeError, ParseError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_verification_matrix() -> dict:
-    with open(matrix_path(), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(matrix_path())
 
 
 def parse_rational(value) -> Fraction:
@@ -98,6 +115,8 @@ def algebra_from_dict(data: dict, skip_jacobi: bool = False) -> LieAlgebra:
         raise ParseError(f"dim must be a non-negative integer, got {dim!r}")
     if not isinstance(basis, list) or len(basis) != dim:
         raise ParseError("basis must list exactly dim labels")
+    if not all(isinstance(label, str) and label for label in basis) or len(set(basis)) != dim:
+        raise ParseError(f"basis labels must be distinct non-empty strings, got {basis!r}")
     if not isinstance(brackets, dict):
         raise ParseError("brackets must be an object keyed by 'i,j'")
 
@@ -142,12 +161,7 @@ def algebra_from_dict(data: dict, skip_jacobi: bool = False) -> LieAlgebra:
 def load_algebra(path, skip_jacobi: bool = False) -> LieAlgebra:
     """Load and validate an algebra file; Jacobi is checked by default."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    algebra = algebra_from_dict(data, skip_jacobi=skip_jacobi)
+    algebra = algebra_from_dict(read_json(path), skip_jacobi=skip_jacobi)
     if algebra.name is None:
         algebra.name = path.stem  # fall back to the file stem for display
     return algebra

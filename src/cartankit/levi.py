@@ -1,23 +1,24 @@
 """Levi decomposition g = s + r and induced algebras of subalgebras.
 
-The complement is built by the classical lifting: quotient by the derived
-algebra of the radical, split there (the radical becomes abelian, so one
-linear correction system suffices), then recurse on the preimage whose
-radical has strictly shorter derived series.  Whitehead's vanishing lemma
-guarantees the correction system is consistent in characteristic zero; an
-inconsistent system therefore signals a bug, not bad input.
+The complement is built in ambient coordinates.  Start from the coordinate
+complement of the radical and walk down its derived series; at each step
+one linear correction solve makes the complement closed modulo the next
+derived algebra, because the step between two derived algebras is abelian.
+Whitehead's vanishing lemma guarantees each correction system is
+consistent in characteristic zero; an inconsistent system therefore
+signals a bug, not bad input.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Ideal, LieAlgebra, Subalgebra, Subspace, bracket_span, per_algebra
+from .algebra import Ideal, LieAlgebra, Subalgebra, Subspace, derived_series, per_algebra
 from .errors import InternalInconsistency, LiftFailure, NotClosed
 from .linalg import Mat, Vec
-from .quotient import QuotientMap, quotient_algebra
-from .radicals import is_semisimple, radical
+from .radicals import radical
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,16 @@ def induced_algebra(sub: Subspace) -> InducedAlgebra:
 
 @per_algebra
 def levi_decomposition(g: LieAlgebra) -> LeviDecomposition:
-    """A semisimple complement of the radical, deterministic on ties."""
+    """A Levi complement of the radical, deterministic on ties.
+
+    The result is checked only as a complement: the dimensions add up, the
+    Levi part S meets the radical R in 0, and S is closed under the
+    bracket.  That suffices for semisimplicity.  ``radical`` checks that R
+    is a solvable ideal, and by Cartan's criterion every solvable ideal is
+    Killing-orthogonal to [g, g], so it lies in R; hence g/R is semisimple.
+    S + R = g and S meeting R in 0 make the subalgebra S isomorphic to g/R.
+    Verify's ``levi-split`` check confirms it from the Killing form of S.
+    """
     rad = radical(g)
     if rad.dim == 0:
         levi = g.whole()
@@ -85,85 +95,60 @@ def levi_decomposition(g: LieAlgebra) -> LeviDecomposition:
         levi = g.zero_subalgebra()
     else:
         levi = Subalgebra(g, _complement_rows(g, rad))
-    _verify_levi(g, levi, rad)
-    return LeviDecomposition(levi=levi, radical=rad)
-
-
-def _verify_levi(g: LieAlgebra, levi: Subalgebra, rad: Ideal) -> None:
     if levi.dim + rad.dim != g.dim:
         raise InternalInconsistency("Levi and radical dimensions do not add up")
     if levi.intersect(rad).dim != 0:
         raise InternalInconsistency("Levi part meets the radical")
-    if levi.dim and not is_semisimple(induced_algebra(levi).algebra):
-        raise InternalInconsistency("Levi part is not semisimple")
+    return LeviDecomposition(levi=levi, radical=rad)
 
 
 def _complement_rows(g: LieAlgebra, rad: Subspace) -> Mat:
-    """Rows of a semisimple complement of ``rad`` (assumed = radical(g))."""
-    derived = bracket_span(rad, rad)
-    if derived.dim == 0:
-        return _complement_abelian(g, rad)
-    # split modulo [r, r], where the image radical is abelian...
-    q = quotient_algebra(g, Ideal(g, derived.matrix))
-    rad_image = q.push_subspace(rad)
-    upper_rows = _complement_rows(q.target, rad_image)
-    # ...then recurse inside the preimage, whose radical is [r, r]
-    preimage_rows = tuple(q.lift_vector(r) for r in upper_rows) + derived.matrix
-    frame = induced_algebra(Subalgebra(g, preimage_rows))
-    derived_inside = frame.from_ambient(derived)
-    inner_rows = _complement_rows(frame.algebra, derived_inside)
-    return tuple(frame.to_ambient_vector(r) for r in inner_rows)
+    """Rows of a Levi complement of ``rad`` (assumed = radical(g)).
 
-
-def _complement_abelian(g: LieAlgebra, rad: Subspace) -> Mat:
-    """Complement for an abelian radical via one linear correction solve.
-
-    Start from the coordinate section s0 of g/rad and correct it by a map
-    tau: g/rad -> rad chosen so that s0 + tau is a homomorphism.  The
-    unknowns are the coefficients of tau over the radical's basis rows; the
-    equations state that the corrected bracket defect vanishes.
+    Start from the coordinate complement, the unit rows e_c at the columns
+    c that are not pivots of ``rad``, and walk down the derived series
+    R = R_0 > R_1 > ... > R_k = 0.  At step R_i > R_{i+1} the rows span a
+    subspace closed modulo R_i; add to row t the element sum_u x_tu a_u of
+    R_i (a_u its canonical rows) so that it becomes closed modulo R_{i+1}.
+    Every row stays e_c + (an element of R), so the coefficient of row t in
+    a bracket is that bracket's residual modulo R at column c_t.  The terms
+    [a, a'] with a, a' in R_i lie in R_{i+1}, so the conditions are linear
+    in the x_tu; Whitehead's vanishing lemma makes them consistent in
+    characteristic zero, and an inconsistent system signals a bug.
     """
-    q = quotient_algebra(g, Ideal(g, rad.matrix))
-    sdim, adim = q.target.dim, rad.dim
-    sigma0 = [q.lift_vector(linalg.unit_vec(sdim, t)) for t in range(sdim)]
-    nvars = sdim * adim
-    if nvars == 0:
-        return tuple(sigma0)
-
-    def var(t: int, u: int) -> int:
-        return t * adim + u
-
-    rows: list[list] = []
-    rhs: list = []
-    for t1 in range(sdim):
-        for t2 in range(t1 + 1, sdim):
-            defect = linalg.vec_sub(
-                g.bracket(sigma0[t1], sigma0[t2]),
-                q.lift_vector(q.target.bracket_basis(t1, t2)),
-            )
-            coeff_rows = [[linalg.ZERO] * nvars for _ in range(g.dim)]
-            for u, a_u in enumerate(rad.matrix):
-                act1 = g.bracket(sigma0[t1], a_u)
-                act2 = g.bracket(sigma0[t2], a_u)
-                for c in range(g.dim):
-                    coeff_rows[c][var(t2, u)] += act1[c]
-                    coeff_rows[c][var(t1, u)] -= act2[c]
-            w = q.target.bracket_basis(t1, t2)
-            for t, wt in enumerate(w):
-                if wt == 0:
-                    continue
-                for u, a_u in enumerate(rad.matrix):
-                    for c in range(g.dim):
-                        coeff_rows[c][var(t, u)] -= wt * a_u[c]
-            rows.extend(coeff_rows)
-            rhs.extend(-d for d in defect)
-    solution = linalg.solve(rows, rhs, width=nvars)
-    if solution is None:
-        raise LiftFailure("Levi correction system is inconsistent")
-    out = []
-    for t in range(sdim):
-        v = sigma0[t]
-        for u, a_u in enumerate(rad.matrix):
-            v = linalg.vec_add(v, linalg.vec_scale(solution[var(t, u)], a_u))
-        out.append(v)
-    return tuple(out)
+    pivots = set(linalg.pivot_columns(rad.matrix))
+    cols = [c for c in range(g.dim) if c not in pivots]
+    rows = [linalg.unit_vec(g.dim, c) for c in cols]
+    series = derived_series(rad)
+    for upper, lower in zip(series, series[1:]):
+        basis = upper.matrix
+        m = len(basis)
+        # the linear parts, reduced modulo R_{i+1}: [row_t, a_u] and a_u
+        acts = [[lower.residual(g.bracket(r, a)) for a in basis] for r in rows]
+        reduced = [lower.residual(a) for a in basis]
+        system: list = []
+        rhs: list = []
+        for t1, t2 in itertools.combinations(range(len(rows)), 2):
+            b = g.bracket(rows[t1], rows[t2])
+            w = rad.residual(b)
+            defect = b
+            for t, c in enumerate(cols):
+                defect = linalg.vec_sub(defect, linalg.vec_scale(w[c], rows[t]))
+            columns = []
+            for t, c in enumerate(cols):
+                for u in range(m):
+                    col = linalg.vec_scale(-w[c], reduced[u])
+                    if t == t2:
+                        col = linalg.vec_add(col, acts[t1][u])
+                    if t == t1:
+                        col = linalg.vec_sub(col, acts[t2][u])
+                    columns.append(col)
+            system.extend(linalg.transpose(tuple(columns)))
+            rhs.extend(-d for d in lower.residual(defect))
+        solution = linalg.solve(system, rhs, width=len(rows) * m)
+        if solution is None:
+            raise LiftFailure("Levi correction system is inconsistent")
+        for t in range(len(rows)):
+            for u, a in enumerate(basis):
+                rows[t] = linalg.vec_add(rows[t], linalg.vec_scale(solution[t * m + u], a))
+    return tuple(rows)

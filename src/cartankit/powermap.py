@@ -12,10 +12,10 @@ extension (checked as an implication over bundled model triples).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
+from .catalog import read_json
 from .errors import EmptyInstance, InvalidOrder, ParseError
 
 
@@ -162,12 +162,7 @@ def instance_from_dict(data: dict) -> GroupDensityInstance:
 
 
 def load_instance(path) -> GroupDensityInstance:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -200,9 +195,4 @@ def triples_from_dict(data) -> list[ModelTriple]:
 
 
 def load_triples(path) -> list[ModelTriple]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return triples_from_dict(data)
+    return triples_from_dict(read_json(path))

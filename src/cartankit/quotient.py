@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import Ideal, LieAlgebra, Subalgebra, Subspace
+from .cartan import fitting_null_recursion, is_cartan_subalgebra
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -98,8 +99,6 @@ def _verify_quotient(q: QuotientMap) -> None:
 
 def push_cartan(h: Subspace, q: QuotientMap) -> Subalgebra:
     """Image of a Cartan subalgebra: a Cartan subalgebra of the quotient."""
-    from .cartan import is_cartan_subalgebra  # deferred: cartan imports levi imports this module
-
     if h.ambient != q.source:
         raise DimensionMismatch("subalgebra does not live in the quotient source")
     if not is_cartan_subalgebra(h):
@@ -120,8 +119,6 @@ def lift_cartan(h_target: Subspace, q: QuotientMap) -> Subalgebra:
     in the source (the preimage need not be solvable, so the normalizer
     chain is not available here).
     """
-    from .cartan import fitting_null_recursion, is_cartan_subalgebra
-
     if h_target.ambient != q.target:
         raise DimensionMismatch("subalgebra does not live in the quotient target")
     if not is_cartan_subalgebra(h_target):

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -59,11 +60,20 @@ def sl2xheis(catalog):
 def ladder_algebra():
     """Algebras of the benchmark's generated ladder, e.g. ``gl3`` or ``b4``.
 
-    ``bench/ladder.py`` is imported read-only from its file; it does not
-    import cartankit, so its closed-form answers stay independent oracles.
+    With a ``seed`` the algebra comes in the random basis that
+    ``ladder.rebase`` draws from ``random.Random(seed)``.  ``bench/ladder.py``
+    is imported read-only from its file; it does not import cartankit, so
+    its closed-form answers stay independent oracles.
     """
     spec = importlib.util.spec_from_file_location("bench_ladder", LADDER)
     ladder = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = ladder  # dataclasses resolve annotations through it
     spec.loader.exec_module(ladder)
-    return lambda name: algebra_from_dict(ladder.family(name).to_json())
+
+    def build(name, seed=None):
+        alg = ladder.family(name)
+        if seed is not None:
+            alg = ladder.rebase(alg, random.Random(seed))
+        return algebra_from_dict(alg.to_json())
+
+    return build

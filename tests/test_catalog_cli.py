@@ -312,3 +312,35 @@ def test_cli_rejects_ambiguous_algebra_file(runner, tmp_path, payload):
     result = runner.invoke(main, ["analyze", str(path)])
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+def test_cli_rejects_repeated_json_key(runner, tmp_path):
+    # json.load keeps the later of two equal keys, so this file used to load
+    # silently as the algebra with [a, b] = 2b
+    path = tmp_path / "repeated.json"
+    path.write_text(
+        '{"dim": 2, "basis": ["a", "b"], "brackets": {"0,1": {"1": "1"}, "0,1": {"1": "2"}}}',
+        encoding="utf-8",
+    )
+    result = runner.invoke(main, ["cartan", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and "repeats" in result.output
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [[1, 2, 3], ["h", "h", "f"], ["h", "", "f"], ["h", None, "f"]],
+    ids=["integers", "repeated", "empty", "null"],
+)
+@pytest.mark.parametrize(
+    "args",
+    [["cartan"], ["quotient", "--ideal", '[["1","0","0"]]']],
+    ids=["cartan", "quotient"],
+)
+def test_cli_rejects_bad_basis_labels(runner, tmp_path, basis, args):
+    # integer labels used to crash `quotient` with a TypeError and print as
+    # numbers in `cartan`; repeated or empty labels made output ambiguous
+    path = write_json(tmp_path, "labels.json", {"dim": 3, "basis": basis, "brackets": {}})
+    result = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output

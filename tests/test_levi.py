@@ -125,6 +125,33 @@ def test_gl2_levi(gl2):
     assert decomp.radical.matrix == Subspace(gl2, [linalg.unit_vec(4, 3)]).matrix
 
 
+def test_levi_of_gl3_is_trace_zero(ladder_algebra):
+    # gl3's radical is central, so sl3 is its only Levi part; the ladder
+    # lists the off-diagonal units first, then E00, E11, E22
+    g = ladder_algebra("gl3")
+    trace_zero = linalg.kernel([(0,) * 6 + (1, 1, 1)])
+    assert levi_decomposition(g).levi.matrix == Subspace(g, trace_zero).matrix
+
+
+# closed-form (Levi, radical) dimensions: dim sl_n = n^2 - 1, and b3 (dim 6)
+# and h5 (dim 5) are solvable
+LADDER_LEVI_DIMS = {"sl2+b3": (3, 6), "sl2+h5": (3, 5), "sl3+h5": (8, 5)}
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [("sl2+b3", None), ("sl3+h5", None), ("sl2+b3", 0), ("sl2+h5", 0)],
+    ids=["sl2+b3", "sl3+h5", "sl2+b3-rebased", "sl2+h5-rebased"],
+)
+def test_ladder_levi_closed_form(ladder_algebra, spec, seed):
+    g = ladder_algebra(spec, seed)
+    decomp = levi_decomposition(g)
+    assert (decomp.levi.dim, decomp.radical.dim) == LADDER_LEVI_DIMS[spec]
+    assert decomp.levi.intersect(decomp.radical).dim == 0
+    assert decomp.levi.sum(decomp.radical).dim == g.dim
+    assert is_semisimple(induced_algebra(decomp.levi).algebra)
+
+
 def test_induced_algebra_zero_and_one_dim(sl2):
     assert induced_algebra(sl2.zero_subalgebra()).algebra.dim == 0
     one = induced_algebra(Subalgebra(sl2, [(1, 0, 0)]))

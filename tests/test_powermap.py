@@ -190,3 +190,16 @@ def test_cli_rejects_non_integer_model_fields(tmp_path, field, value):
     result = CliRunner().invoke(main, ["powermap", str(path), "-k", "2"])
     assert result.exit_code == 2, result.output
     assert "error:" in result.output
+
+
+def test_cli_rejects_repeated_model_key(tmp_path):
+    # json.load keeps the later key, so k = 3 used to be reported dense
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"name": "dup", "cartan_classes": [{"vector_rank": 1, "torus_rank": 0,'
+        ' "component_orders": [3], "component_orders": []}]}',
+        encoding="utf-8",
+    )
+    result = CliRunner().invoke(main, ["powermap", str(path), "-k", "3"])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.output and "dense" not in result.output

@@ -64,6 +64,19 @@ def test_nilradical_of_oscillator(oscillator):
     ).matrix
 
 
+def test_radical_of_gl3_is_the_scalars(ladder_algebra):
+    # the ladder lists the off-diagonal units first, then E00, E11, E22
+    g = ladder_algebra("gl3")
+    assert radical(g).matrix == Subspace(g, [(0,) * 6 + (1, 1, 1)]).matrix
+
+
+def test_nilradical_of_b3_is_n3_plus_scalars(ladder_algebra):
+    # E01, E02, E12 span n3; then E00, E11, E22
+    g = ladder_algebra("b3")
+    expected = [linalg.unit_vec(6, i) for i in range(3)] + [(0, 0, 0, 1, 1, 1)]
+    assert nilradical(g).matrix == Subspace(g, expected).matrix
+
+
 def test_nilradical_wrong_layered_result_raises(monkeypatch):
     # a wrong layered result is a bug: no silent brute-force fallback, even
     # on an algebra small enough to enumerate
