@@ -10,6 +10,7 @@ immutable value after construction.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -41,7 +42,15 @@ def per_algebra(fn):
 
 
 class LieAlgebra:
-    """A finite-dimensional Lie algebra over Q in a fixed basis."""
+    """A finite-dimensional Lie algebra over Q in a fixed basis.
+
+    The structure constants are held once, as a sparse integer table over
+    their least common denominator D: ``_ints[i]`` maps j to the pairs
+    (k, D c^k_ij) with a nonzero coefficient, ascending in k, and has no
+    key j where [e_i, e_j] = 0.  The bracket, ``ad``, the Killing form and
+    the Jacobi sweep sum Python ints over this table and divide once per
+    output entry, so every result is an exact, canonical ``Fraction``.
+    """
 
     def __init__(
         self,
@@ -63,24 +72,28 @@ class LieAlgebra:
                 raise DimensionMismatch("basis label count does not match dimension")
         self.basis_labels = basis_labels
 
-        table = [[linalg.zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-        canonical: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        constants: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
         for (i, j), entry in structure_constants.items():
             if not (0 <= i < j < dim):
                 raise DimensionMismatch(f"structure constant key ({i},{j}) needs 0 <= i < j < dim={dim}")
-            row = [Fraction(0)] * dim
+            row: dict[int, Fraction] = {}
             for k, c in entry.items():
                 if not (0 <= int(k) < dim):
                     raise DimensionMismatch(f"structure constant target index {k} out of range")
                 row[int(k)] = Fraction(c)
-            v = tuple(row)
-            if linalg.is_zero_vec(v):
-                continue
-            table[i][j] = v
-            table[j][i] = linalg.vec_scale(Fraction(-1), v)
-            canonical[(i, j)] = tuple((k, c) for k, c in enumerate(v) if c != 0)
-        self._table: tuple[tuple[Vec, ...], ...] = tuple(tuple(r) for r in table)
-        self._canonical = tuple(sorted(canonical.items()))
+            nonzero = sorted((k, c) for k, c in row.items() if c != 0)
+            if nonzero:
+                constants[(i, j)] = nonzero
+        d = math.lcm(*(c.denominator for pairs in constants.values() for _, c in pairs))
+        ints: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(dim)]
+        for (i, j), pairs in constants.items():
+            scaled = tuple((k, c.numerator * (d // c.denominator)) for k, c in pairs)
+            ints[i][j] = scaled
+            ints[j][i] = tuple((k, -c) for k, c in scaled)
+        self._d = d
+        self._ints = tuple(ints)
+        # D and the scaled constants determine the constants and vice versa
+        self._canonical = (d, tuple(sorted((key, ints[key[0]][key[1]]) for key in constants)))
         self._memo: dict = {}  # derived invariants, filled by per_algebra
 
         if check_jacobi is None:
@@ -89,53 +102,73 @@ class LieAlgebra:
             self._check_jacobi()
 
     def _check_jacobi(self) -> None:
+        # each term is quadratic in the constants, so the sum is D^2 times
+        # the Jacobiator and the zero test needs no division
+        ints = self._ints
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    term = self._bracket_vec_basis(self._table[i][j], k)
-                    term = linalg.vec_add(term, self._bracket_vec_basis(self._table[j][k], i))
-                    term = linalg.vec_add(term, self._bracket_vec_basis(self._table[k][i], j))
-                    if not linalg.is_zero_vec(term):
-                        raise JacobiViolation((i, j, k), term)
+                    acc = [0] * self.dim
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, cm in ints[a].get(b, ()):
+                            for l, cl in ints[m].get(c, ()):
+                                acc[l] += cm * cl
+                    if any(acc):
+                        raise JacobiViolation((i, j, k), linalg.over(acc, self._d * self._d))
 
-    def _bracket_vec_basis(self, x: Vec, k: int) -> Vec:
-        out = linalg.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = linalg.vec_add(out, linalg.vec_scale(xi, self._table[i][k]))
-        return out
+    def _bracket_ints(self, xs, ys) -> list[int]:
+        """D times [x, y] for integer (index, entry) pairs of x and y."""
+        ints = self._ints
+        acc = [0] * self.dim
+        for i, xi in xs:
+            row = ints[i]
+            for j, yj in ys:
+                pairs = row.get(j)
+                if pairs:
+                    f = xi * yj
+                    for k, c in pairs:
+                        acc[k] += f * c
+        return acc
 
     def bracket_basis(self, i: int, j: int) -> Vec:
-        return self._table[i][j]
+        acc = [0] * self.dim
+        for k, c in self._ints[i].get(j, ()):
+            acc[k] = c
+        return linalg.over(acc, self._d)
 
     def bracket_basis_vec(self, i: int, y: Sequence) -> Vec:
-        """[e_i, y] through the precomputed table; O(dim) vector adds."""
-        out = linalg.zero_vec(self.dim)
-        for j, yj in enumerate(y):
-            if yj != 0:
-                out = linalg.vec_add(out, linalg.vec_scale(yj, self._table[i][j]))
-        return out
+        """[e_i, y] from the integer table; one Fraction per output entry."""
+        (ys,), dy = linalg.integer_rows((y,))
+        return linalg.over(self._bracket_ints(((i, 1),), ys), dy * self._d)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
-        """[x, y] by bilinear extension of the structure constants."""
+        """[x, y] by bilinear extension of the structure constants.
+
+        x and y are scaled to integers and the products x_i y_j c^k_ij are
+        summed in Python ints; each output entry is divided once.
+        """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch(f"bracket arguments must have length {self.dim}")
-        out = linalg.zero_vec(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self._table[i]
-            for j, yj in enumerate(y):
-                if yj != 0 and i != j:
-                    out = linalg.vec_add(out, linalg.vec_scale(xi * yj, row[j]))
-        return out
+        (xs,), dx = linalg.integer_rows((x,))
+        (ys,), dy = linalg.integer_rows((y,))
+        return linalg.over(self._bracket_ints(xs, ys), dx * dy * self._d)
 
     def ad(self, x: Sequence) -> Mat:
-        """Matrix of ad(x): y -> [x, y] acting on coordinate vectors."""
+        """Matrix of ad(x): y -> [x, y] acting on coordinate vectors.
+
+        Column j is [x, e_j]; x is scaled to integers and each entry is
+        divided once.
+        """
         if len(x) != self.dim:
             raise DimensionMismatch(f"ad argument must have length {self.dim}")
-        cols = [self._bracket_vec_basis(linalg.vec(x), k) for k in range(self.dim)]
-        return linalg.transpose(tuple(cols)) if cols else ()
+        (xs,), dx = linalg.integer_rows((x,))
+        acc = [[0] * self.dim for _ in range(self.dim)]
+        for i, xi in xs:
+            for j, pairs in self._ints[i].items():
+                for k, c in pairs:
+                    acc[k][j] += xi * c
+        den = dx * self._d
+        return tuple(linalg.over(row, den) for row in acc)
 
     @per_algebra
     def whole(self) -> "Subalgebra":
@@ -354,12 +387,24 @@ def is_solvable(sub: Subspace) -> bool:
 
 @per_algebra
 def killing_form(g: LieAlgebra) -> Mat:
-    """k(e_i, e_j) = trace(ad e_i o ad e_j); symmetric and invariant."""
-    ads = [g.ad(linalg.unit_vec(g.dim, i)) for i in range(g.dim)]
-    return tuple(
-        tuple(linalg.trace(linalg.mat_mul(ads[i], ads[j])) for j in range(g.dim))
-        for i in range(g.dim)
-    )
+    """k(e_i, e_j) = trace(ad e_i o ad e_j); symmetric and invariant.
+
+    Read off the integer table as k(e_i, e_j) = sum over k, l of
+    c^l_ik c^k_jl, summed over the nonzero constants in Python ints and
+    divided by D^2 once per entry; no ad matrix is built.
+    """
+    n = g.dim
+    # ads[i][(l, k)] = D c^l_ik, the nonzero entries of D ad(e_i)
+    ads = [{(l, k): c for k, pairs in row.items() for l, c in pairs} for row in g._ints]
+    form = [[linalg.ZERO] * n for _ in range(n)]
+    d2 = g._d * g._d
+    for i in range(n):
+        for j in range(i, n):
+            aj = ads[j]
+            s = sum(c * aj.get((k, l), 0) for (l, k), c in ads[i].items())
+            if s:
+                form[i][j] = form[j][i] = Fraction(s, d2)
+    return tuple(tuple(row) for row in form)
 
 
 def killing_value(form: Mat, x: Sequence, y: Sequence) -> Fraction:

@@ -8,6 +8,7 @@ stabilization by syntactic equality of canonical forms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -76,11 +77,42 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
     return tuple(vec_scale(c, r) for r in a)
 
 
+def integer_rows(m: Sequence[Sequence]) -> tuple[list[list[tuple[int, int]]], int]:
+    """Each row's nonzero entries as (column, integer) pairs, and their scale.
+
+    The scale d is the least common denominator of every entry of m, and
+    entry m[r][c] is the integer of pair (c, .) in row r divided by d.
+    """
+    d = math.lcm(*{e.denominator for row in m for e in row if e})
+    return [[(c, e.numerator * (d // e.denominator)) for c, e in enumerate(row) if e] for row in m], d
+
+
+def over(nums: Sequence[int], den: int) -> Vec:
+    """The vector nums / den, one canonical Fraction per entry."""
+    return tuple(Fraction(a, den) if a else ZERO for a in nums)
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a and b and len(a[0]) != len(b):
-        raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """Exact product a b.
+
+    Both operands are scaled to integer rows over one denominator each; the
+    products of nonzero entries are summed in Python ints and each output
+    entry is divided once.
+    """
+    width = len(b[0]) if b else 0
+    if a and len(a[0]) != len(b):
+        raise DimensionMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{width}")
+    arows, da = integer_rows(a)
+    brows, db = integer_rows(b)
+    den = da * db
+    out = []
+    for row in arows:
+        acc = [0] * width
+        for c, x in row:
+            for j, y in brows[c]:
+                acc[j] += x * y
+        out.append(over(acc, den))
+    return tuple(out)
 
 
 def apply_mat(m: Mat, v: Sequence[Fraction]) -> Vec:

@@ -47,7 +47,7 @@ from .catalog import (
     parse_vector,
 )
 from .errors import CartanKitError, JacobiViolation
-from .levi import induced_algebra, levi_decomposition
+from .levi import InducedAlgebra, induced_algebra, levi_decomposition
 from .powermap import (
     GroupDensityInstance,
     ModelTriple,
@@ -153,6 +153,11 @@ class _FixtureContext:
             sub = subalgebra_closure(self.g, [a, b])
             seen.setdefault(sub.matrix, sub)
         return [seen[m] for m in sorted(seen)]
+
+    @cached_property
+    def levi_frame(self) -> InducedAlgebra:
+        """The Levi part as a standalone algebra, shared by the Levi checks."""
+        return induced_algebra(levi_decomposition(self.g).levi)
 
     @cached_property
     def chain_starts(self) -> dict:
@@ -286,7 +291,7 @@ def _check_levi_split(ctx: _FixtureContext):
         return {"levi_dim": decomp.levi.dim, "radical_dim": decomp.radical.dim}
     if decomp.levi.intersect(decomp.radical).dim != 0:
         return _subspace_witness("intersection", decomp.levi.intersect(decomp.radical))
-    if decomp.levi.dim and not is_semisimple(induced_algebra(decomp.levi).algebra):
+    if decomp.levi.dim and not is_semisimple(ctx.levi_frame.algebra):
         return _subspace_witness("levi", decomp.levi)
     if decomp.radical.matrix != radical(ctx.g).matrix:
         return _subspace_witness("radical", decomp.radical)
@@ -297,7 +302,7 @@ def _check_levi_roundtrip(ctx: _FixtureContext):
     decomp = levi_decomposition(ctx.g)
     if decomp.levi.dim == 0:
         return None
-    frame = induced_algebra(decomp.levi)
+    frame = ctx.levi_frame
     h_levi = composite_csa(ctx.g).trace[0]
     back = frame.to_ambient(frame.from_ambient(h_levi))
     if back.matrix != h_levi.matrix:

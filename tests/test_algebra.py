@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -89,6 +90,31 @@ def test_bracket_antisymmetric(sl2, x, y):
     assert sl2.bracket(x, y) == linalg.vec_scale(F(-1), sl2.bracket(y, x))
 
 
+def random_rational_vector(rng, dim):
+    """Mostly nonzero entries with negative numerators and mixed denominators."""
+    return tuple(
+        F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 12, 49])) if rng.random() < 0.8 else F(0)
+        for _ in range(dim)
+    )
+
+
+@pytest.mark.parametrize("spec", ["sl2+b3", "sl3"])
+def test_bracket_ad_match_naive_on_rebased_algebra(ladder_algebra, spec):
+    # a random basis makes the constants dense with mixed denominators
+    g = ladder_algebra(spec, 0)
+    table = full_table(g)
+    assert any(c.denominator > 1 for row in table for v in row for c in v)
+    rng = random.Random(spec)
+    units = [linalg.unit_vec(g.dim, j) for j in range(g.dim)]
+    for _ in range(6):
+        x, y = random_rational_vector(rng, g.dim), random_rational_vector(rng, g.dim)
+        assert g.bracket(x, y) == naive_bracket(table, x, y)
+        columns = [naive_bracket(table, x, e) for e in units]
+        assert g.ad(x) == linalg.transpose(tuple(columns))
+        i = rng.randrange(g.dim)
+        assert g.bracket_basis_vec(i, y) == naive_bracket(table, units[i], y)
+
+
 def test_bracket_dimension_mismatch(sl2):
     with pytest.raises(DimensionMismatch):
         sl2.bracket((1, 0), (0, 1, 0))
@@ -99,6 +125,40 @@ def test_jacobi_rejected_at_construction():
         LieAlgebra(3, {(0, 1): {1: 1}, (1, 2): {0: 1}, (0, 2): {2: 1}})
     assert exc.value.triple == (0, 1, 2)
     assert exc.value.residual == (F(2), F(0), F(0))
+
+
+def naive_jacobi_violation(g):
+    """First basis triple i < j < k with a nonzero Jacobiator, by Fractions."""
+    table = full_table(g)
+    units = [linalg.unit_vec(g.dim, i) for i in range(g.dim)]
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        res = [F(0)] * g.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            res = linalg.vec_add(res, naive_bracket(table, table[a][b], units[c]))
+        if not linalg.is_zero_vec(res):
+            return (i, j, k), res
+    return None
+
+
+@pytest.mark.parametrize(
+    "constants, triple, residual",
+    [
+        # [[e0,e1],e2] = 1/6 e0 and [[e2,e0],e1] = 1/6 e0
+        ({(0, 1): {1: F(1, 2)}, (1, 2): {0: F(1, 3)}, (0, 2): {2: F(1, 2)}},
+         (0, 1, 2), (F(1, 3), F(0), F(0))),
+        # (0, 1, 2) holds; on (0, 1, 3) only [[e1,e3],e0] = 2/3 [e1,e0] = 2/9 e2 survives
+        ({(0, 1): {2: F(-1, 3)}, (0, 3): {1: F(1, 2)}, (1, 3): {0: F(5, 7), 1: F(2, 3)}},
+         (0, 1, 3), (F(0), F(0), F(2, 9), F(0))),
+    ],
+)
+def test_jacobi_violation_with_rational_constants(constants, triple, residual):
+    broken = LieAlgebra(len(residual), constants, check_jacobi=False)
+    assert naive_jacobi_violation(broken) == (triple, residual)
+    with pytest.raises(JacobiViolation) as exc:
+        LieAlgebra(len(residual), constants)
+    assert exc.value.triple == triple
+    assert exc.value.residual == residual
+    assert all(type(c) is F for c in exc.value.residual)
 
 
 def test_jacobi_check_skippable():
@@ -247,6 +307,32 @@ def test_killing_form_sl2(sl2):
     g_, h_, i = form[2]
     sarrus = a * e_ * i + b * f * g_ + c * d * h_ - c * e_ * g_ - b * d * i - a * f * h_
     assert sarrus == F(-128)
+
+
+def killing_by_definition(g):
+    """trace(ad e_i o ad e_j) from dense ad matrices built from bracket_basis."""
+    # ad(e_i)[k][j] is coordinate k of [e_i, e_j]
+    ads = [linalg.transpose(tuple(g.bracket_basis(i, j) for j in range(g.dim))) for i in range(g.dim)]
+    return tuple(
+        tuple(
+            sum((a[l][k] * b[k][l] for k in range(g.dim) for l in range(g.dim)), F(0))
+            for b in ads
+        )
+        for a in ads
+    )
+
+
+def test_killing_form_matches_definition_on_catalog(catalog):
+    assert len(catalog) == 18
+    for g in catalog.values():
+        assert killing_form(g) == killing_by_definition(g)
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+@pytest.mark.parametrize("spec", ["gl3", "sl3", "b3", "b4", "sl2+b3", "sl3+h5"])
+def test_killing_form_matches_definition_on_ladder(ladder_algebra, spec, seed):
+    g = ladder_algebra(spec, seed)
+    assert killing_form(g) == killing_by_definition(g)
 
 
 def test_killing_form_vanishes_for_nilpotent(h3, catalog):

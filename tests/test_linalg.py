@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -120,6 +121,79 @@ def test_mat_pow_and_nilpotency():
     assert linalg.mat_pow(n, 3) == linalg.zero_mat(3, 3)
     assert linalg.is_nilpotent_mat(n)
     assert not linalg.is_nilpotent_mat(linalg.identity(2))
+
+
+def naive_mat_mul(a, b):
+    """Fraction triple loop; a has len(b) columns."""
+    width = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((a[r][k] * b[k][c] for k in range(len(b))), F(0)) for c in range(width))
+        for r in range(len(a))
+    )
+
+
+def naive_mat_pow(m, k):
+    out = linalg.identity(len(m))
+    for _ in range(k):
+        out = naive_mat_mul(out, m)
+    return out
+
+
+def random_rational_matrix(rng, rows, cols):
+    """Zero rows, zero entries, negative values and large denominators."""
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        den = rng.choice([1, 1, 2, 3, 7, 10**12 + 39, 2**61 - 1])
+        return F(rng.randint(-10**6, 10**6), den)
+
+    return tuple(
+        linalg.zero_vec(cols) if rng.random() < 0.15 else tuple(entry() for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mat_mul_matches_naive(seed):
+    rng = random.Random(seed)
+    shapes = [(1, 1, 1), (1, 5, 1), (1, 4, 6), (5, 1, 3), (3, 4, 2), (6, 6, 6), (2, 7, 4)]
+    for r, k, c in shapes:
+        a, b = random_rational_matrix(rng, r, k), random_rational_matrix(rng, k, c)
+        product = linalg.mat_mul(a, b)
+        assert product == naive_mat_mul(a, b)
+        assert all(type(e) is F for row in product for e in row)
+        assert linalg.mat_mul(a, linalg.zero_mat(k, c)) == linalg.zero_mat(r, c)
+
+
+def test_mat_mul_empty_shapes():
+    assert linalg.mat_mul((), ()) == ()
+    assert linalg.mat_mul((), linalg.mat([[1, 2]])) == ()
+    # n x 0 times 0 x 0: n empty rows
+    assert linalg.mat_mul(((), ()), ()) == ((), ())
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1, 2]], [[1, 2]]),
+        ([[1], [2]], [[1], [2]]),
+        ([[1, 2, 3]], [[1], [2]]),
+        ([[1, 2]], []),
+    ],
+)
+def test_mat_mul_rejects_bad_shapes(a, b):
+    with pytest.raises(DimensionMismatch):
+        linalg.mat_mul(linalg.mat(a), linalg.mat(b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mat_pow_matches_naive(seed):
+    rng = random.Random(100 + seed)
+    for n in (1, 2, 4, 5):
+        m = random_rational_matrix(rng, n, n)
+        for k in (0, 1, 2, 3, 6):
+            assert linalg.mat_pow(m, k) == naive_mat_pow(m, k)
+    assert linalg.mat_pow((), 3) == ()
 
 
 def test_poly_gcd_and_squarefree():
