@@ -217,7 +217,13 @@ class LieAlgebra:
 
 
 class Subspace:
-    """A linear subspace in canonical (reduced echelon) form."""
+    """A linear subspace in canonical (reduced echelon) form.
+
+    ``matrix`` holds the canonical rows as ``Fraction`` tuples.  Membership,
+    residuals and coordinates reduce in Python ints against the integer
+    form of those rows (``linalg.echelon_form``), built once per instance
+    on first use.
+    """
 
     def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence]):
         self.ambient = ambient
@@ -231,19 +237,23 @@ class Subspace:
     def dim(self) -> int:
         return len(self.matrix)
 
+    @functools.cached_property
+    def _echelon(self) -> linalg.EchelonForm:
+        return linalg.echelon_form(self.matrix)
+
     def contains(self, v: Sequence) -> bool:
         if len(v) != self.ambient.dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return linalg.in_row_space(linalg.vec(v), self.matrix)
+        return not any(linalg.reduce_ints(linalg.vec(v), self._echelon)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.matrix)
 
     def residual(self, v: Sequence) -> Vec:
-        return linalg.residual(linalg.vec(v), self.matrix)
+        return linalg.over(*linalg.reduce_ints(linalg.vec(v), self._echelon))
 
     def coordinates(self, v: Sequence) -> Vec | None:
-        return linalg.row_coordinates(linalg.vec(v), self.matrix)
+        return linalg.form_coordinates(linalg.vec(v), self._echelon)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)

@@ -73,8 +73,14 @@ _INTERNAL_ERRORS = (
 )
 
 
+def _echo(message: str) -> None:
+    # click.echo without a file caches the current sys.stdout in a dict keyed
+    # by the stream itself, so every redirected buffer would stay alive
+    click.echo(message, file=sys.stdout)
+
+
 def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
+    click.echo(f"error: {exc}", file=sys.stderr)
     if isinstance(exc, _INPUT_ERRORS):
         sys.exit(EXIT_INPUT_ERROR)
     if isinstance(exc, _INTERNAL_ERRORS):
@@ -131,20 +137,20 @@ def analyze(path: str, as_json: bool, skip_jacobi: bool) -> None:
                 "chain": [format_vector(r) for r in chain.csa.matrix] if chain else None,
             },
         }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    click.echo(f"algebra: {g.name or '?'} (dim {g.dim})")
-    click.echo(f"radical: dim {rad.dim}, basis [{', '.join(_subspace_labels(g, rad))}]")
-    click.echo(f"nilradical: dim {nil.dim}, basis [{', '.join(_subspace_labels(g, nil))}]")
-    click.echo(f"semisimple: {str(is_semisimple(g)).lower()}")
-    click.echo(f"levi: dim {decomp.levi.dim}; radical: dim {rad.dim}")
-    click.echo(f"rank: {regular.csa.dim}")
-    click.echo(f"cartan (regular): dim {regular.csa.dim}, basis [{', '.join(_subspace_labels(g, regular.csa))}]")
-    click.echo(f"cartan (composite): dim {composite.csa.dim}, basis [{', '.join(_subspace_labels(g, composite.csa))}]")
+    _echo(f"algebra: {g.name or '?'} (dim {g.dim})")
+    _echo(f"radical: dim {rad.dim}, basis [{', '.join(_subspace_labels(g, rad))}]")
+    _echo(f"nilradical: dim {nil.dim}, basis [{', '.join(_subspace_labels(g, nil))}]")
+    _echo(f"semisimple: {str(is_semisimple(g)).lower()}")
+    _echo(f"levi: dim {decomp.levi.dim}; radical: dim {rad.dim}")
+    _echo(f"rank: {regular.csa.dim}")
+    _echo(f"cartan (regular): dim {regular.csa.dim}, basis [{', '.join(_subspace_labels(g, regular.csa))}]")
+    _echo(f"cartan (composite): dim {composite.csa.dim}, basis [{', '.join(_subspace_labels(g, composite.csa))}]")
     if chain is not None:
-        click.echo(f"cartan (chain): dim {chain.csa.dim}, basis [{', '.join(_subspace_labels(g, chain.csa))}]")
+        _echo(f"cartan (chain): dim {chain.csa.dim}, basis [{', '.join(_subspace_labels(g, chain.csa))}]")
     else:
-        click.echo("cartan (chain): n/a (algebra not solvable)")
+        _echo("cartan (chain): n/a (algebra not solvable)")
 
 
 @main.command()
@@ -176,11 +182,11 @@ def cartan(path: str, method: str, as_json: bool, skip_jacobi: bool) -> None:
             "basis": [format_vector(r) for r in result.csa.matrix],
             "trace_dims": [s.dim for s in result.trace],
         }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    click.echo(f"method: {result.method.value}")
-    click.echo(f"cartan subalgebra: dim {result.csa.dim}, basis [{', '.join(_subspace_labels(g, result.csa))}]")
-    click.echo(f"trace dims: {[s.dim for s in result.trace]}")
+    _echo(f"method: {result.method.value}")
+    _echo(f"cartan subalgebra: dim {result.csa.dim}, basis [{', '.join(_subspace_labels(g, result.csa))}]")
+    _echo(f"trace dims: {[s.dim for s in result.trace]}")
 
 
 @main.command()
@@ -199,10 +205,10 @@ def levi(path: str, as_json: bool, skip_jacobi: bool) -> None:
             "levi": [format_vector(r) for r in decomp.levi.matrix],
             "radical": [format_vector(r) for r in decomp.radical.matrix],
         }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    click.echo(f"levi: dim {decomp.levi.dim}, basis [{', '.join(_subspace_labels(g, decomp.levi))}]")
-    click.echo(f"radical: dim {decomp.radical.dim}, basis [{', '.join(_subspace_labels(g, decomp.radical))}]")
+    _echo(f"levi: dim {decomp.levi.dim}, basis [{', '.join(_subspace_labels(g, decomp.levi))}]")
+    _echo(f"radical: dim {decomp.radical.dim}, basis [{', '.join(_subspace_labels(g, decomp.radical))}]")
 
 
 @main.command()
@@ -251,15 +257,15 @@ def quotient(path: str, ideal_spec: str, as_json: bool, skip_jacobi: bool) -> No
             "lifted_cartan": [format_vector(r) for r in lifted.matrix],
             "roundtrip_exact": q.push_subspace(lifted).matrix == pushed.matrix,
         }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    click.echo(f"quotient: dim {q.target.dim}, basis [{', '.join(q.target.basis_labels)}]")
-    click.echo(f"quotient brackets: {json.dumps(constants, sort_keys=True)}")
-    click.echo(
+    _echo(f"quotient: dim {q.target.dim}, basis [{', '.join(q.target.basis_labels)}]")
+    _echo(f"quotient brackets: {json.dumps(constants, sort_keys=True)}")
+    _echo(
         f"pushed cartan: dim {pushed.dim}, basis [{', '.join(_subspace_labels(q.target, pushed))}]"
     )
-    click.echo(f"lifted cartan: dim {lifted.dim}, basis [{', '.join(_subspace_labels(g, lifted))}]")
-    click.echo(f"roundtrip exact: {str(q.push_subspace(lifted).matrix == pushed.matrix).lower()}")
+    _echo(f"lifted cartan: dim {lifted.dim}, basis [{', '.join(_subspace_labels(g, lifted))}]")
+    _echo(f"roundtrip exact: {str(q.push_subspace(lifted).matrix == pushed.matrix).lower()}")
 
 
 @main.command()
@@ -289,21 +295,21 @@ def powermap(path: str, exponent: int, as_json: bool) -> None:
             ],
             "dense": dense,
         }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        _echo(json.dumps(payload, indent=2, sort_keys=True))
         return
-    click.echo(f"instance: {instance.name} ({len(instance.cartan_models)} cartan classes)")
+    _echo(f"instance: {instance.name} ({len(instance.cartan_models)} cartan classes)")
     for idx, (m, v) in enumerate(zip(instance.cartan_models, verdicts), start=1):
-        click.echo(
+        _echo(
             f"class {idx} (vector_rank={m.vector_rank}, torus_rank={m.torus_rank}, "
             f"orders={list(m.component_orders)}): surjective for k={exponent}: {str(v).lower()}"
         )
     if dense:
-        click.echo(f"dense: true (k={exponent} passes every class)")
+        _echo(f"dense: true (k={exponent} passes every class)")
     else:
         idx = verdicts.index(False)
         m = instance.cartan_models[idx]
         blocking = sorted(o for o in m.component_orders if math.gcd(exponent, o) > 1)
-        click.echo(f"dense: false (class {idx + 1} fails: order {blocking[0]})")
+        _echo(f"dense: false (class {idx + 1} fails: order {blocking[0]})")
 
 
 @main.command()
@@ -320,7 +326,7 @@ def verify(paths: tuple[str, ...], run_all: bool, as_json: bool) -> None:
             report = run_verification(paths=list(paths))
     except (CartanKitError, *_READ_ERRORS) as exc:
         _fail(exc)
-    click.echo(report_to_json(report) if as_json else report_to_text(report))
+    _echo(report_to_json(report) if as_json else report_to_text(report))
     if not report.ok:
         sys.exit(EXIT_VERIFICATION_FAILURE)
 
@@ -332,10 +338,10 @@ def catalog_cmd(as_json: bool) -> None:
     fixtures = sorted(bundled_fixtures())
     models = sorted(bundled_models())
     if as_json:
-        click.echo(json.dumps({"fixtures": fixtures, "models": models}, indent=2, sort_keys=True))
+        _echo(json.dumps({"fixtures": fixtures, "models": models}, indent=2, sort_keys=True))
         return
-    click.echo("fixtures: " + ", ".join(fixtures))
-    click.echo("models: " + ", ".join(models))
+    _echo("fixtures: " + ", ".join(fixtures))
+    _echo("models: " + ", ".join(models))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ Vectors are tuples of ``fractions.Fraction``; matrices are tuples of row
 vectors.  No floating point is used anywhere: rank and kernel decisions must
 be exact because the fixed-point iterations built on top of them detect
 stabilization by syntactic equality of canonical forms.
+
+``Fraction`` is the interface, Python ints are the inside.  Products,
+elimination and reduction scale each row or vector to integers over one
+denominator, work fraction-free, and build one canonical ``Fraction`` per
+output entry at the end.
 """
 
 from __future__ import annotations
@@ -83,8 +88,9 @@ def integer_rows(m: Sequence[Sequence]) -> tuple[list[list[tuple[int, int]]], in
     The scale d is the least common denominator of every entry of m, and
     entry m[r][c] is the integer of pair (c, .) in row r divided by d.
     """
-    d = math.lcm(*{e.denominator for row in m for e in row if e})
-    return [[(c, e.numerator * (d // e.denominator)) for c, e in enumerate(row) if e] for row in m], d
+    rows = [[(c, p, q) for c, (p, q) in enumerate([e.as_integer_ratio() for e in row]) if p] for row in m]
+    d = math.lcm(*{q for row in rows for _, _, q in row})
+    return [[(c, p * (d // q)) for c, p, q in row] for row in rows], d
 
 
 def over(nums: Sequence[int], den: int) -> Vec:
@@ -139,41 +145,73 @@ def trace(m: Mat) -> Fraction:
     return sum((m[i][i] for i in range(len(m))), ZERO)
 
 
+def scaled_ints(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers and their scale d, the lcm of the denominators: row = ints / d."""
+    pairs = [e.as_integer_ratio() for e in row]
+    d = math.lcm(*[q for _, q in pairs])
+    return [p * (d // q) if p else 0 for p, q in pairs], d
+
+
+def primitive_row(row: Sequence[Fraction]) -> list[int]:
+    """row scaled to integers and divided by their content; zeros stay zeros.
+
+    For a canonical row (pivot entry 1) the content is already 1, so the
+    pivot entry is the lcm of the row's denominators.
+    """
+    ints, _ = scaled_ints(row)
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _clear(r: list[int], pivot: list[int], col: int) -> list[int]:
+    """r <- (a/g) r - (b/g) pivot with a, b the entries at col; then primitive."""
+    a, b = pivot[col], r[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    r = [a * x - b * y for x, y in zip(r, pivot)]
+    h = math.gcd(*r)
+    return [x // h for x in r] if h > 1 else r
+
+
 def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
     """Reduced row echelon form with zero rows dropped and pivots scaled to 1.
 
     The output is the unique canonical representative of the row space, so
-    subspace equality is plain tuple equality of the results.
+    subspace equality is plain tuple equality of the results.  Elimination
+    is fraction-free (Bareiss 1968; Cohen 1993, sec. 2.2): every row is held
+    as a primitive integer row, each row with a nonzero entry in the pivot
+    column is cleared by cross-multiplication and divided by its content,
+    and rows that become zero are dropped at once.  Each pivot row is
+    divided by its pivot entry only at the end.
     """
-    work = [list(vec(r)) for r in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    for r in work:
-        if len(r) != ncols:
-            raise DimensionMismatch("ragged matrix")
-    pivot_row = 0
-    pivot_cols = []
+    active: list[list[int]] = []
+    widths = set()
+    for r in rows:
+        r = primitive_row(vec(r))
+        widths.add(len(r))
+        if any(r):
+            active.append(r)
+    if len(widths) > 1:
+        raise DimensionMismatch("ragged matrix")
+    ncols = widths.pop() if widths else 0
+    done: list[list[int]] = []
+    cols: list[int] = []
     for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
+        hits = [i for i, r in enumerate(active) if r[col]]
+        if not hits:
             continue
-        work[pivot_row], work[pr] = work[pr], work[pivot_row]
-        inv = ONE / work[pivot_row][col]
-        work[pivot_row] = [inv * e for e in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [e - f * p for e, p in zip(work[r], work[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == len(work):
+        # the smallest pivot entry keeps the cross-multipliers small
+        pivot = active.pop(min(hits, key=lambda i: abs(active[i][col])))
+        for block in (active, done):
+            for t, r in enumerate(block):
+                if r[col]:
+                    block[t] = _clear(r, pivot, col)
+        active = [r for r in active if any(r)]
+        done.append(pivot)
+        cols.append(col)
+        if not active:
             break
-    return tuple(tuple(r) for r in work[:pivot_row])
+    return tuple(over(r, r[c]) for c, r in zip(cols, done))
 
 
 def pivot_columns(rref_rows: Mat) -> tuple[int, ...]:
@@ -190,36 +228,81 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return len(rref(rows))
 
 
+# The integer form of canonical rows: per row, its pivot column, the
+# nonzero (column, entry) pairs of its primitive integer row, and that
+# row's pivot entry, which is positive.
+EchelonForm = tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]
+
+
+def echelon_form(rref_rows: Mat) -> EchelonForm:
+    form = []
+    for row in rref_rows:
+        ints = primitive_row(row)
+        pairs = tuple((j, x) for j, x in enumerate(ints) if x)
+        p = pairs[0][0]
+        form.append((p, pairs, ints[p]))
+    return tuple(form)
+
+
+def reduce_ints(v: Vec, form: EchelonForm) -> tuple[list[int], int]:
+    """The residual of v against the rows of ``form``, as (integers, scale).
+
+    v is scaled to integers over one running scale s.  At each pivot p with
+    a nonzero entry c of the running vector, the row is cleared by
+    cross-multiplication as in ``rref``: with a the row's pivot entry and
+    g = gcd(a, c), the vector is multiplied by a/g and c/g times the row is
+    subtracted.  When a/g > 1, s takes the same factor and the gcd of s and
+    the entries is divided out.  The residual is the integers over s, and
+    it is zero iff the integers are, so the membership test needs no
+    division.
+    """
+    out, s = scaled_ints(v)
+    for p, pairs, a in form:
+        c = out[p]
+        if not c:
+            continue
+        g = math.gcd(a, c)
+        a, c = a // g, c // g
+        if a != 1:
+            out = [a * x for x in out]
+            s *= a
+        for j, x in pairs:
+            out[j] -= c * x
+        if a != 1:
+            h = math.gcd(s, *out)
+            if h > 1:
+                out = [x // h for x in out]
+                s //= h
+    return out, s
+
+
 def residual(v: Sequence[Fraction], rref_rows: Mat) -> Vec:
     """Reduce v against canonical rows; zero iff v lies in their row space.
 
     The reduction map is linear in v for a fixed canonical basis, which is
     what lets membership conditions enter linear systems.
     """
-    out = list(vec(v))
-    for row, p in zip(rref_rows, pivot_columns(rref_rows)):
-        c = out[p]
-        if c != 0:
-            out = [e - c * r for e, r in zip(out, row)]
-    return tuple(out)
+    return over(*reduce_ints(vec(v), echelon_form(rref_rows)))
 
 
 def in_row_space(v: Sequence[Fraction], rref_rows: Mat) -> bool:
-    return is_zero_vec(residual(v, rref_rows))
+    return not any(reduce_ints(vec(v), echelon_form(rref_rows))[0])
 
 
 def row_coordinates(v: Sequence[Fraction], rref_rows: Mat) -> Vec | None:
     """Coefficients expressing v over canonical rows, or None if outside."""
-    out = list(vec(v))
-    coords = []
-    for row, p in zip(rref_rows, pivot_columns(rref_rows)):
-        c = out[p]
-        coords.append(c)
-        if c != 0:
-            out = [e - c * r for e, r in zip(out, row)]
-    if not is_zero_vec(out):
+    return form_coordinates(vec(v), echelon_form(rref_rows))
+
+
+def form_coordinates(v: Vec, form: EchelonForm) -> Vec | None:
+    """Coefficients of v over the rows of ``form``, or None if v is outside.
+
+    Every other canonical row is zero at a row's pivot column, so the
+    coefficient of that row is v's entry there.
+    """
+    if any(reduce_ints(v, form)[0]):
         return None
-    return tuple(coords)
+    return tuple(v[p] for p, _, _ in form)
 
 
 def kernel(rows: Iterable[Sequence[Fraction]], width: int | None = None) -> Mat:
@@ -276,28 +359,6 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], width: in
         else:
             x[lead] = row[ncols]
     return tuple(x)
-
-
-def det(m: Mat) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return ONE
-    work = [list(r) for r in m]
-    out = ONE
-    for col in range(n):
-        pr = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pr is None:
-            return ZERO
-        if pr != col:
-            work[col], work[pr] = work[pr], work[col]
-            out = -out
-        out *= work[col][col]
-        inv = ONE / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-    return out
 
 
 # ---------------------------------------------------------------------------

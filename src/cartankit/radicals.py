@@ -13,9 +13,7 @@ tests; no production path falls back to it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .algebra import (
@@ -187,28 +185,32 @@ def ideal_closure(g: LieAlgebra, rows) -> Subspace:
         current = bigger
 
 
-def enumerate_ideal_candidates(g: LieAlgebra, max_generators: int = 2) -> list[Subspace]:
-    """Distinct ideals generated by small subsets of the candidate pool.
+def enumerate_ideal_candidates(g: LieAlgebra) -> list[Subspace]:
+    """The zero ideal and every join of the principal ideals of the pool.
 
-    The collection is closed under pairwise joins (the sum of two ideals is
-    an ideal), so it is a finite sublattice of the ideal lattice.
+    The ideal generated by {a, b} is the ideal generated by a plus the ideal
+    generated by b, so ideals generated by several pool vectors add nothing
+    beyond joins of principal ideals.  Every member of the join closure is a
+    join of principal ideals, so the collection is closed under joins once
+    it is closed under joins with the principal ideals; a frontier loop of
+    new members times principal ideals reaches that.
     """
-    pool = candidate_vector_pool(g)
+    principal: dict[Mat, Subspace] = {}
+    for v in candidate_vector_pool(g):
+        closed = ideal_closure(g, [v])
+        principal.setdefault(closed.matrix, closed)
     seen: dict[Mat, Subspace] = {(): Subspace(g, ())}
-    for size in range(1, max_generators + 1):
-        for combo in itertools.combinations(pool, size):
-            closed = ideal_closure(g, combo)
-            seen.setdefault(closed.matrix, closed)
-    while True:
-        joins = {}
-        items = list(seen.values())
-        for a, b in itertools.combinations(items, 2):
-            joined = a.sum(b)
-            if joined.matrix not in seen:
-                joins.setdefault(joined.matrix, joined)
-        if not joins:
-            break
+    seen.update(principal)
+    frontier = list(principal.values())
+    while frontier:
+        joins: dict[Mat, Subspace] = {}
+        for a in frontier:
+            for b in principal.values():
+                joined = a.sum(b)
+                if joined.matrix not in seen:
+                    joins.setdefault(joined.matrix, joined)
         seen.update(joins)
+        frontier = list(joins.values())
     return [seen[m] for m in sorted(seen)]
 
 

@@ -378,3 +378,36 @@ def test_label_rendering(sl2):
     assert sl2.label_vector((0, -2, 0)) == "-2*e"
     assert sl2.label_vector((F(1, 2), 0, -1)) == "1/2*h - f"
     assert sl2.label_vector((0, 0, 0)) == "0"
+
+
+@pytest.mark.parametrize("spec", ["sl2+b3", "gl3"])
+def test_subspace_integer_form_matches_linalg_on_rebased_algebra(ladder_algebra, spec):
+    from cartankit.levi import levi_decomposition
+    from cartankit.radicals import nilradical
+
+    g = ladder_algebra(spec, 0)
+    n = g.dim
+    rng = random.Random(7)
+    basis = [linalg.unit_vec(n, i) for i in range(n)]
+    decomp = levi_decomposition(g)
+    subspaces = [
+        g.zero_subspace(),
+        g.whole(),
+        decomp.levi,
+        decomp.radical,
+        nilradical(g),
+        Subspace(g, [g.bracket(basis[0], b) for b in basis[:3]]),
+    ]
+    for sub in subspaces:
+        probes = list(basis) + [g.bracket(a, b) for a, b in itertools.combinations(basis[:4], 2)]
+        for _ in range(3):
+            coeffs = tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in sub.matrix)
+            inside = linalg.apply_mat(linalg.transpose(sub.matrix), coeffs) if coeffs else linalg.zero_vec(n)
+            assert sub.coordinates(inside) == coeffs
+            probes.append(inside)
+        for v in probes:
+            assert sub.contains(v) == linalg.in_row_space(v, sub.matrix)
+            assert sub.residual(v) == linalg.residual(v, sub.matrix)
+            assert sub.coordinates(v) == linalg.row_coordinates(v, sub.matrix)
+        for other in subspaces:
+            assert sub.contains_subspace(other) == all(linalg.in_row_space(r, sub.matrix) for r in other.matrix)

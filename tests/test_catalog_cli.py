@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -129,6 +133,22 @@ def runner():
 
 def fixture_path(name):
     return str(bundled_fixtures()[name])
+
+
+def test_cli_releases_redirected_output_buffers():
+    # in-process callers redirect stdout to a fresh buffer per command;
+    # none of those buffers may outlive its command
+    refs = []
+    for _ in range(20):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+            main.main(args=["levi", fixture_path("sl2"), "--json"], prog_name="cartankit")
+        assert exc.value.code == 0
+        assert json.loads(buf.getvalue())["radical"] == []
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def test_cli_analyze_sl2(runner):

@@ -100,16 +100,6 @@ def test_solve_empty_system_uses_width():
     assert linalg.solve([], [], width=4) == linalg.zero_vec(4)
 
 
-def test_det_exact():
-    # 3x3 determinant cross-checked by the rule of Sarrus
-    m = linalg.mat([[2, 0, 1], [1, 3, 0], [0, 1, 4]])
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    sarrus = a * e * i + b * f * g + c * d * h - c * e * g - b * d * i - a * f * h
-    assert linalg.det(m) == sarrus == F(25)
-
-
 def test_char_poly_companion():
     # companion matrix of t^2 - t - 1
     m = linalg.mat([[0, 1], [1, 1]])
@@ -224,3 +214,172 @@ def test_semisimple_part_properties(rows):
     assert linalg.is_nilpotent_mat(n)
     # s is a polynomial in m, so the parts commute
     assert linalg.mat_mul(s, n) == linalg.mat_mul(n, s)
+
+
+# ---------------------------------------------------------------------------
+# The integer core against the Fraction elimination it replaced.
+# ---------------------------------------------------------------------------
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan elimination in Fraction arithmetic, zero rows dropped."""
+    work = [list(linalg.vec(r)) for r in rows]
+    if not work:
+        return ()
+    pivot_row = 0
+    for col in range(len(work[0])):
+        pr = next((r for r in range(pivot_row, len(work)) if work[r][col] != 0), None)
+        if pr is None:
+            continue
+        work[pivot_row], work[pr] = work[pr], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [inv * e for e in work[pivot_row]]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [e - f * p for e, p in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(work):
+            break
+    return tuple(tuple(r) for r in work[:pivot_row])
+
+
+def fraction_residual(v, rref_rows):
+    out = list(linalg.vec(v))
+    for row, p in zip(rref_rows, linalg.pivot_columns(rref_rows)):
+        c = out[p]
+        if c != 0:
+            out = [e - c * r for e, r in zip(out, row)]
+    return tuple(out)
+
+
+def fraction_row_coordinates(v, rref_rows):
+    out = list(linalg.vec(v))
+    coords = []
+    for row, p in zip(rref_rows, linalg.pivot_columns(rref_rows)):
+        c = out[p]
+        coords.append(c)
+        if c != 0:
+            out = [e - c * r for e, r in zip(out, row)]
+    if any(out):
+        return None
+    return tuple(coords)
+
+
+def assert_reductions_match(v, canonical):
+    res = fraction_residual(v, canonical)
+    assert linalg.residual(v, canonical) == res
+    assert linalg.in_row_space(v, canonical) == (not any(res))
+    assert linalg.row_coordinates(v, canonical) == fraction_row_coordinates(v, canonical)
+
+
+def oracle_matrix(rng, rows, cols, big=True):
+    """Random rational rows with a zero column, duplicate rows and rank deficiency."""
+    if big:
+        m = [list(r) for r in random_rational_matrix(rng, rows, cols)]
+    else:
+        m = [[F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(cols)] for _ in range(rows)]
+    if cols > 1:
+        z = rng.randrange(cols)
+        for r in m:
+            r[z] = F(0)
+    if rows > 2:
+        m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+        a, b = rng.sample(range(rows), 2)
+        c = F(rng.randint(-3, 3), rng.choice([1, 2, 2**61 - 1]))
+        m[rng.randrange(rows)] = [x - c * y for x, y in zip(m[a], m[b])]
+    return tuple(tuple(r) for r in m)
+
+
+ORACLE_SHAPES = [(1, 1), (1, 5), (5, 1), (2, 2), (3, 5), (5, 3), (6, 6), (8, 4), (4, 9)]
+
+
+def probe_vectors(rng, rows, width):
+    """Vectors outside and inside the row space, and the zero vector."""
+    probes = [linalg.zero_vec(width), tuple(F(rng.randint(-5, 5), rng.choice([1, 7, 2**61 - 1])) for _ in range(width))]
+    probes += [linalg.unit_vec(width, i) for i in range(min(width, 3))]
+    for _ in range(2):
+        v = linalg.zero_vec(width)
+        for r in rows:
+            v = linalg.vec_add(v, linalg.vec_scale(F(rng.randint(-4, 4), rng.choice([1, 3])), r))
+        probes.append(v)
+    return probes
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_core_matches_fraction_oracle(seed, monkeypatch):
+    rng = random.Random(seed)
+    for shape in ORACLE_SHAPES:
+        m = oracle_matrix(rng, *shape)
+        canonical = linalg.rref(m)
+        assert canonical == fraction_rref(m)
+        assert all(type(e) is F for row in canonical for e in row)
+        width = shape[1]
+        rhs = tuple(F(rng.randint(-5, 5), rng.choice([1, 2**61 - 1])) for _ in m)
+        consistent = tuple(sum((a * b for a, b in zip(row, m[0])), F(0)) for row in m)
+        for v in probe_vectors(rng, canonical, width):
+            assert_reductions_match(v, canonical)
+        got = (linalg.kernel(m), linalg.solve(m, rhs), linalg.solve(m, consistent))
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", fraction_rref)
+            want = (linalg.kernel(m), linalg.solve(m, rhs), linalg.solve(m, consistent))
+        assert got == want
+        assert got[2] is not None
+
+
+def test_integer_core_matches_fraction_oracle_60x40(monkeypatch):
+    rng = random.Random(60)
+    m = oracle_matrix(rng, 60, 40, big=False)  # small entries keep the Fraction oracle fast
+    # rank deficiency: the last 30 rows are combinations of the first 30
+    combos = [[(F(rng.randint(-2, 2)), r) for r in rng.sample(m[:30], 3)] for _ in range(30)]
+    m = m[:30] + tuple(tuple(sum((c * r[j] for c, r in combo), F(0)) for j in range(40)) for combo in combos)
+    canonical = linalg.rref(m)
+    assert canonical == fraction_rref(m)
+    assert len(canonical) <= 30
+    for v in probe_vectors(rng, canonical, 40):
+        assert_reductions_match(v, canonical)
+    got = linalg.kernel(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", fraction_rref)
+        assert linalg.kernel(m) == got
+
+
+def test_integer_core_empty_shapes():
+    assert linalg.rref([]) == fraction_rref([]) == ()
+    assert linalg.rref([(), ()]) == ()
+    assert linalg.rref([[0, 0, 0]]) == ()
+    assert linalg.residual([], ()) == ()
+    assert linalg.residual([F(1, 3), F(-2)], ()) == (F(1, 3), F(-2))
+    assert linalg.row_coordinates([0, 0], ()) == ()
+    assert linalg.row_coordinates([1, 0], ()) is None
+    assert linalg.in_row_space([0, 0], ())
+    assert linalg.kernel([[0, 0]]) == linalg.identity(2)
+    for ragged in ([[1, 2], [1]], [[0, 0], [0]], [[], [1]]):
+        with pytest.raises(DimensionMismatch):
+            linalg.rref(ragged)
+
+
+def sympy_rref(sympy, rows):
+    """Canonical rows from sympy's rref, zero rows dropped, as Fractions."""
+    if not rows:
+        return ()
+    reduced, _ = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in rows]).rref()
+    out = [tuple(F(int(e.p), int(e.q)) for e in reduced.row(i)) for i in range(reduced.rows)]
+    return tuple(r for r in out if any(r))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rref_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1000 + seed)
+    for shape in ORACLE_SHAPES:
+        m = oracle_matrix(rng, *shape)
+        assert linalg.rref(m) == sympy_rref(sympy, m)
+
+
+def test_rref_of_rebased_ad_matrices_matches_sympy(ladder_algebra):
+    sympy = pytest.importorskip("sympy")
+    g = ladder_algebra("sl2+b3", seed=0)
+    for i in range(g.dim):
+        ad = g.ad(linalg.unit_vec(g.dim, i))
+        assert linalg.rref(ad) == sympy_rref(sympy, ad)

@@ -40,7 +40,8 @@ def test_sl2xr2_mod_plane_is_sl2(q_sl2xr2):
     assert t.bracket_basis(0, 2) == (F(0), F(0), F(-2))
     assert t.bracket_basis(1, 2) == (F(1), F(0), F(0))
     assert is_semisimple(t)
-    assert linalg.det(killing_form(t)) == F(-128)
+    # the Killing form of sl2 in the basis (h, e, f); its determinant is -128
+    assert killing_form(t) == linalg.mat([[8, 0, 0], [0, 0, 4], [0, 4, 0]])
 
 
 def test_projection_section_identity(q_sl2xr2):

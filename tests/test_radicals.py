@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -146,6 +147,33 @@ def test_bruteforce_agreement_small_fixtures(catalog):
         candidates = enumerate_ideal_candidates(g)
         assert radical(g).matrix == bruteforce_max_solvable_ideal(g, candidates).matrix
         assert nilradical(g).matrix == bruteforce_max_nilpotent_ideal(g, candidates).matrix
+
+
+def pair_enumeration(g):
+    """The enumeration before the principal-ideal rewrite: every ideal
+    generated by one or two pool vectors, closed under pairwise joins."""
+    pool = radicals.candidate_vector_pool(g)
+    seen = {(): Subspace(g, ())}
+    for size in (1, 2):
+        for combo in itertools.combinations(pool, size):
+            closed = radicals.ideal_closure(g, combo)
+            seen.setdefault(closed.matrix, closed)
+    while True:
+        joins = {}
+        for a, b in itertools.combinations(list(seen.values()), 2):
+            joined = a.sum(b)
+            if joined.matrix not in seen:
+                joins.setdefault(joined.matrix, joined)
+        if not joins:
+            return sorted(seen)
+        seen.update(joins)
+
+
+def test_principal_join_closure_matches_pair_enumeration(catalog):
+    for name, g in catalog.items():
+        if g.dim > 5:
+            continue
+        assert [c.matrix for c in enumerate_ideal_candidates(g)] == pair_enumeration(g), name
 
 
 def test_enumerated_candidates_are_ideals(sl2xr2):
