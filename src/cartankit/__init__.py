@@ -9,6 +9,7 @@ from .algebra import (
     Ideal,
     LieAlgebra,
     Subalgebra,
+    Subquotient,
     Subspace,
     bracket_span,
     centralizer,
@@ -33,7 +34,7 @@ from .cartan import (
     regular_element_csa,
 )
 from .catalog import bundled_fixtures, bundled_models, load_algebra, load_bundled
-from .levi import InducedAlgebra, LeviDecomposition, induced_algebra, levi_decomposition
+from .levi import LeviDecomposition, induced_algebra, levi_decomposition
 from .powermap import (
     CartanGroupModel,
     GroupDensityInstance,
@@ -42,7 +43,7 @@ from .powermap import (
     pk_surjective,
     weakly_exponential_model,
 )
-from .quotient import QuotientMap, lift_cartan, push_cartan, quotient_algebra
+from .quotient import lift_cartan, push_cartan, quotient_algebra
 from .radicals import RadicalPair, is_semisimple, nilradical, radical, radical_pair
 from .verify import run_verification
 
@@ -52,12 +53,11 @@ __all__ = [
     "CsaMethod",
     "GroupDensityInstance",
     "Ideal",
-    "InducedAlgebra",
     "LeviDecomposition",
     "LieAlgebra",
-    "QuotientMap",
     "RadicalPair",
     "Subalgebra",
+    "Subquotient",
     "Subspace",
     "bracket_span",
     "bundled_fixtures",

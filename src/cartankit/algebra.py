@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .errors import DimensionMismatch, JacobiViolation, NotClosed, NotIdeal
+from .errors import DimensionMismatch, InternalInconsistency, JacobiViolation, NotClosed, NotIdeal
 from .linalg import Mat, Vec
 
 # Above this dimension the O(dim^4) construction-time Jacobi sweep must be
@@ -241,19 +241,22 @@ class Subspace:
     def _echelon(self) -> linalg.EchelonForm:
         return linalg.echelon_form(self.matrix)
 
-    def contains(self, v: Sequence) -> bool:
+    def _fit(self, v: Sequence) -> Vec:
         if len(v) != self.ambient.dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return not any(linalg.reduce_ints(linalg.vec(v), self._echelon)[0])
+        return linalg.vec(v)
+
+    def contains(self, v: Sequence) -> bool:
+        return not any(linalg.reduce_ints(self._fit(v), self._echelon)[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.matrix)
 
     def residual(self, v: Sequence) -> Vec:
-        return linalg.over(*linalg.reduce_ints(linalg.vec(v), self._echelon))
+        return linalg.over(*linalg.reduce_ints(self._fit(v), self._echelon))
 
     def coordinates(self, v: Sequence) -> Vec | None:
-        return linalg.form_coordinates(linalg.vec(v), self._echelon)
+        return linalg.form_coordinates(self._fit(v), self._echelon)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
@@ -321,6 +324,89 @@ class Ideal(Subalgebra):
                         f"[{ambient.basis_labels[i]}, row] leaves the span: "
                         f"row {a}, bracket {w}"
                     )
+
+
+class Subquotient:
+    """Coordinates on U/L for subspaces L <= U of one algebra.
+
+    The residual of a vector modulo L's canonical rows vanishes at L's pivot
+    columns, and the residuals of U's rows span a complement of L in U + L.
+    ``basis`` is the canonical form of those residuals, so the coordinates
+    of v + L are the entries of v's residual at the pivot columns of
+    ``basis`` (de Graaf, *Lie Algebras: Theory and Algorithms*, 2000, ch. 1
+    and 4).  A quotient g/I, a subalgebra in its own basis (L = 0) and a
+    layer J_i/J_{i+1} of the nilradical's flag all take coordinates this
+    way.  When L does not lie in U, the maps describe (U + L)/L.
+    """
+
+    def __init__(self, upper: Subspace, lower: Subspace):
+        upper._require_same_ambient(lower)
+        self.upper = upper
+        self.lower = lower
+        # modulo 0 the residuals are U's canonical rows themselves
+        self.basis = Subspace(upper.ambient, [lower.residual(u) for u in upper.matrix]) if lower.dim else upper
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    def _coordinates(self, v: Sequence) -> Vec | None:
+        return self.basis.coordinates(self.lower.residual(v))
+
+    def push_vector(self, v: Sequence) -> Vec:
+        """Coordinates of v + L over ``basis``.
+
+        Every caller pushes vectors that lie in U + L by construction, so a
+        vector outside signals a bug and raises InternalInconsistency.
+        """
+        coords = self._coordinates(v)
+        if coords is None:
+            raise InternalInconsistency("vector lies outside the subquotient")
+        return coords
+
+    def push_subspace(self, sub: Subspace) -> Subspace:
+        return Subspace(self.target, [self.push_vector(r) for r in sub.matrix])
+
+    def lift_vector(self, v: Sequence) -> Vec:
+        """The element sum_t v_t b_t of U, for coordinates v over ``basis``."""
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"subquotient coordinates must have length {self.dim}")
+        if not v:
+            return linalg.zero_vec(self.upper.ambient.dim)
+        return linalg.mat_mul((linalg.vec(v),), self.basis.matrix)[0]
+
+    def preimage_subspace(self, sub: Subspace) -> Subspace:
+        """The full preimage of a subspace of the target: its lift plus L."""
+        rows = [self.lift_vector(r) for r in sub.matrix]
+        return Subspace(self.upper.ambient, rows + list(self.lower.matrix))
+
+    def operator(self, x: Sequence) -> Mat:
+        """Matrix of ad x on U/L: column t holds the coordinates of [x, b_t]."""
+        g = self.upper.ambient
+        cols = [self.push_vector(g.bracket(x, b)) for b in self.basis.matrix]
+        return linalg.transpose(tuple(cols))
+
+    @functools.cached_property
+    def target(self) -> LieAlgebra:
+        """U/L as an algebra in ``basis``; L must be an ideal of U.
+
+        Its constants are the coordinates of the brackets of basis rows, and
+        its labels are the ambient labels at the pivot columns of ``basis``.
+        A bracket that leaves U + L raises NotClosed.
+        """
+        g = self.upper.ambient
+        rows = self.basis.matrix
+        constants: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i, a in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                coords = self._coordinates(g.bracket(a, rows[j]))
+                if coords is None:
+                    raise NotClosed(f"bracket of basis rows {i},{j} leaves the subquotient")
+                entry = {k: c for k, c in enumerate(coords) if c}
+                if entry:
+                    constants[(i, j)] = entry
+        labels = [g.basis_labels[p] for p in linalg.pivot_columns(rows)]
+        return LieAlgebra(len(rows), constants, labels)
 
 
 def subalgebra_closure(ambient: LieAlgebra, vectors: Iterable[Sequence]) -> Subalgebra:

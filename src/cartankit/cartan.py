@@ -23,6 +23,7 @@ from . import linalg
 from .algebra import (
     LieAlgebra,
     Subalgebra,
+    Subquotient,
     Subspace,
     centralizer,
     is_nilpotent,
@@ -65,18 +66,17 @@ def is_cartan_subalgebra(h: Subspace) -> bool:
 def fitting_null(k: Subspace, x) -> Subspace:
     """Fitting null component of ad(x) on a subalgebra K: ker(ad_K x)^dim K.
 
-    ``x`` must lie in K.  Every [x, b] then lies in K, and its coordinates
-    over K's canonical rows are its entries at K's pivot columns, so the
-    matrix that is raised to a power has size dim K.  With ``K = g.whole()``
-    it is ad(x) itself.
+    ``x`` must lie in K.  The matrix of ad_K x is the operator of x on the
+    subquotient K/0, whose coordinates are entries at K's pivot columns, so
+    the matrix that is raised to a power has size dim K.  With
+    ``K = g.whole()`` it is ad(x) itself.  The kernel rows are coordinates
+    over K's basis and lift by one product with it.
     """
     if not k.contains(x):
         raise HypothesisViolated("the element does not lie in the subalgebra")
-    rows = k.matrix
-    images = [k.ambient.bracket(x, b) for b in rows]
-    ad_k = tuple(tuple(w[p] for w in images) for p in linalg.pivot_columns(rows))
-    null = linalg.kernel(linalg.mat_pow(ad_k, len(rows)), width=len(rows))
-    return Subspace(k.ambient, linalg.mat_mul(null, rows))
+    frame = Subquotient(k, k.ambient.zero_subspace())
+    null = linalg.kernel(linalg.mat_pow(frame.operator(x), frame.dim), width=frame.dim)
+    return Subspace(k.ambient, linalg.mat_mul(null, frame.basis.matrix))
 
 
 def fitting_null_recursion(k: Subalgebra) -> CartanResult:

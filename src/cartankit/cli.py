@@ -1,7 +1,7 @@
 """Command-line surface: analyze | cartan | levi | quotient | powermap | verify.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-inconsistency.
+inconsistency or any other library error.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ from .errors import (
     EmptyInstance,
     HypothesisViolated,
     IndexOutOfRange,
-    InternalInconsistency,
     InvalidOrder,
     JacobiViolation,
-    LiftFailure,
     NotCartan,
     NotIdeal,
     NotSolvable,
     ParseError,
-    PostconditionFailure,
 )
 from .levi import levi_decomposition
 from .powermap import density_from_cartans, load_instance, pk_surjective
@@ -66,11 +63,6 @@ _INPUT_ERRORS = (
 )
 # an unreadable input file: missing, a directory, unreadable, or not UTF-8
 _READ_ERRORS = (OSError, UnicodeDecodeError)
-_INTERNAL_ERRORS = (
-    InternalInconsistency,
-    LiftFailure,
-    PostconditionFailure,
-)
 
 
 def _echo(message: str) -> None:
@@ -83,7 +75,7 @@ def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", file=sys.stderr)
     if isinstance(exc, _INPUT_ERRORS):
         sys.exit(EXIT_INPUT_ERROR)
-    if isinstance(exc, _INTERNAL_ERRORS):
+    if isinstance(exc, CartanKitError):
         sys.exit(EXIT_INTERNAL)
     raise exc
 

@@ -1,12 +1,15 @@
-"""Levi decomposition g = s + r and induced algebras of subalgebras.
+"""Levi decomposition g = s + r, and subalgebras as standalone algebras.
 
-The complement is built in ambient coordinates.  Start from the coordinate
-complement of the radical and walk down its derived series; at each step
-one linear correction solve makes the complement closed modulo the next
-derived algebra, because the step between two derived algebras is abelian.
-Whitehead's vanishing lemma guarantees each correction system is
-consistent in characteristic zero; an inconsistent system therefore
-signals a bug, not bad input.
+The complement is built in ambient coordinates.  Start from the basis of
+g/R, the unit rows at the columns that are not pivots of the radical R,
+and walk down the derived series of R; at each step one linear correction
+solve makes the complement closed modulo the next derived algebra, because
+the step between two derived algebras is abelian.  The coefficients of a
+bracket over the complement are its push to g/R, read through the same
+``Subquotient`` that gives the quotient and induced algebras their
+coordinates.  Whitehead's vanishing lemma guarantees each correction
+system is consistent in characteristic zero; an inconsistent system
+therefore signals a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Ideal, LieAlgebra, Subalgebra, Subspace, derived_series, per_algebra
-from .errors import InternalInconsistency, LiftFailure, NotClosed
-from .linalg import Mat, Vec
+from .algebra import Ideal, LieAlgebra, Subalgebra, Subquotient, Subspace, derived_series, per_algebra
+from .errors import InternalInconsistency, LiftFailure
+from .linalg import Mat
 from .radicals import radical
 
 
@@ -27,53 +30,16 @@ class LeviDecomposition:
     radical: Ideal
 
 
-@dataclass(frozen=True)
-class InducedAlgebra:
-    """A subalgebra rewritten in its own canonical basis.
+def induced_algebra(sub: Subspace) -> Subquotient:
+    """A bracket-closed subspace S as a standalone algebra: S/0 in S's basis.
 
-    ``inclusion`` rows are the canonical basis vectors in ambient
-    coordinates, so subspaces of the induced algebra can be mapped back.
+    The target's constants are the coordinates of brackets of S's canonical
+    rows and its labels are the ambient labels at their pivot columns.  An
+    open span raises NotClosed.
     """
-
-    algebra: LieAlgebra
-    ambient: LieAlgebra
-    inclusion: Mat
-
-    def to_ambient_vector(self, v) -> Vec:
-        return linalg.apply_mat(linalg.transpose(self.inclusion), v)
-
-    def to_ambient(self, sub: Subspace) -> Subspace:
-        rows = [self.to_ambient_vector(r) for r in sub.matrix]
-        return Subspace(self.ambient, rows)
-
-    def from_ambient_vector(self, v) -> Vec:
-        coords = linalg.row_coordinates(linalg.vec(v), self.inclusion)
-        if coords is None:
-            raise InternalInconsistency("vector lies outside the induced subalgebra")
-        return coords
-
-    def from_ambient(self, sub: Subspace) -> Subspace:
-        rows = [self.from_ambient_vector(r) for r in sub.matrix]
-        return Subspace(self.algebra, rows)
-
-
-def induced_algebra(sub: Subspace) -> InducedAlgebra:
-    """Express a bracket-closed subspace as a standalone algebra."""
-    g = sub.ambient
-    rows = sub.matrix
-    constants: dict[tuple[int, int], dict[int, object]] = {}
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            w = g.bracket(rows[i], rows[j])
-            coords = linalg.row_coordinates(w, rows)
-            if coords is None:
-                raise NotClosed(f"bracket of rows {i},{j} leaves the subspace")
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                constants[(i, j)] = entry
-    labels = [f"v{i}" for i in range(len(rows))]
-    algebra = LieAlgebra(len(rows), constants, labels)
-    return InducedAlgebra(algebra=algebra, ambient=g, inclusion=rows)
+    frame = Subquotient(sub, sub.ambient.zero_subspace())
+    frame.target  # builds the constants now, so an open span fails here
+    return frame
 
 
 @per_algebra
@@ -105,20 +71,19 @@ def levi_decomposition(g: LieAlgebra) -> LeviDecomposition:
 def _complement_rows(g: LieAlgebra, rad: Subspace) -> Mat:
     """Rows of a Levi complement of ``rad`` (assumed = radical(g)).
 
-    Start from the coordinate complement, the unit rows e_c at the columns
-    c that are not pivots of ``rad``, and walk down the derived series
+    Start from the basis of g/R, the unit rows e_c at the columns c that
+    are not pivots of ``rad``, and walk down the derived series
     R = R_0 > R_1 > ... > R_k = 0.  At step R_i > R_{i+1} the rows span a
     subspace closed modulo R_i; add to row t the element sum_u x_tu a_u of
     R_i (a_u its canonical rows) so that it becomes closed modulo R_{i+1}.
     Every row stays e_c + (an element of R), so the coefficient of row t in
-    a bracket is that bracket's residual modulo R at column c_t.  The terms
+    a bracket is entry t of the bracket's push to g/R.  The terms
     [a, a'] with a, a' in R_i lie in R_{i+1}, so the conditions are linear
     in the x_tu; Whitehead's vanishing lemma makes them consistent in
     characteristic zero, and an inconsistent system signals a bug.
     """
-    pivots = set(linalg.pivot_columns(rad.matrix))
-    cols = [c for c in range(g.dim) if c not in pivots]
-    rows = [linalg.unit_vec(g.dim, c) for c in cols]
+    quotient = Subquotient(g.whole(), rad)
+    rows = list(quotient.basis.matrix)
     series = derived_series(rad)
     for upper, lower in zip(series, series[1:]):
         basis = upper.matrix
@@ -130,14 +95,14 @@ def _complement_rows(g: LieAlgebra, rad: Subspace) -> Mat:
         rhs: list = []
         for t1, t2 in itertools.combinations(range(len(rows)), 2):
             b = g.bracket(rows[t1], rows[t2])
-            w = rad.residual(b)
+            w = quotient.push_vector(b)
             defect = b
-            for t, c in enumerate(cols):
-                defect = linalg.vec_sub(defect, linalg.vec_scale(w[c], rows[t]))
+            for t, row in enumerate(rows):
+                defect = linalg.vec_sub(defect, linalg.vec_scale(w[t], row))
             columns = []
-            for t, c in enumerate(cols):
+            for t in range(len(rows)):
                 for u in range(m):
-                    col = linalg.vec_scale(-w[c], reduced[u])
+                    col = linalg.vec_scale(-w[t], reduced[u])
                     if t == t2:
                         col = linalg.vec_add(col, acts[t1][u])
                     if t == t1:

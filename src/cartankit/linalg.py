@@ -276,24 +276,6 @@ def reduce_ints(v: Vec, form: EchelonForm) -> tuple[list[int], int]:
     return out, s
 
 
-def residual(v: Sequence[Fraction], rref_rows: Mat) -> Vec:
-    """Reduce v against canonical rows; zero iff v lies in their row space.
-
-    The reduction map is linear in v for a fixed canonical basis, which is
-    what lets membership conditions enter linear systems.
-    """
-    return over(*reduce_ints(vec(v), echelon_form(rref_rows)))
-
-
-def in_row_space(v: Sequence[Fraction], rref_rows: Mat) -> bool:
-    return not any(reduce_ints(vec(v), echelon_form(rref_rows))[0])
-
-
-def row_coordinates(v: Sequence[Fraction], rref_rows: Mat) -> Vec | None:
-    """Coefficients expressing v over canonical rows, or None if outside."""
-    return form_coordinates(vec(v), echelon_form(rref_rows))
-
-
 def form_coordinates(v: Vec, form: EchelonForm) -> Vec | None:
     """Coefficients of v over the rows of ``form``, or None if v is outside.
 

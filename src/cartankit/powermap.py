@@ -68,29 +68,6 @@ def composition_holds(h_dense: bool, quotient_dense: bool, g_result: bool) -> bo
     return g_result or not (h_dense and quotient_dense)
 
 
-def smallest_failing_k(instance: GroupDensityInstance) -> int | None:
-    """Least prime exponent with a non-dense power image, if any."""
-    primes = sorted(
-        {p for m in instance.cartan_models for p in _prime_factors(m.component_orders)}
-    )
-    return primes[0] if primes else None
-
-
-def _prime_factors(orders) -> set[int]:
-    out = set()
-    for m in orders:
-        n = m
-        p = 2
-        while p * p <= n:
-            while n % p == 0:
-                out.add(p)
-                n //= p
-            p += 1
-        if n > 1:
-            out.add(n)
-    return out
-
-
 def weakly_exponential_model(instance: GroupDensityInstance) -> bool:
     """Dense power images for every k: no finite components anywhere.
 

@@ -20,6 +20,7 @@ from .algebra import (
     Ideal,
     LieAlgebra,
     Subalgebra,
+    Subquotient,
     Subspace,
     bracket_span,
     is_ideal,
@@ -60,40 +61,20 @@ def is_semisimple(g: LieAlgebra) -> bool:
     return linalg.rank(form) == g.dim
 
 
-def _quotient_layer_basis(space: Subspace, modulo: Subspace) -> Mat:
-    """Rows of ``space`` forming a basis of space/modulo (greedy, canonical)."""
-    kept: list[Vec] = []
-    for row in space.matrix:
-        probe = Subspace(space.ambient, modulo.matrix + tuple(kept) + (row,))
-        if probe.dim > modulo.dim + len(kept):
-            kept.append(row)
-    return tuple(kept)
-
-
-def _layer_operator(g: LieAlgebra, x: Vec, layer: Mat, modulo: Subspace) -> Mat:
-    """Matrix of the action of ad(x) on span(layer) modulo ``modulo``."""
-    stacked = layer + modulo.matrix
-    cols = []
-    for b in layer:
-        w = g.bracket(x, b)
-        sol = linalg.solve(linalg.transpose(stacked), w, width=len(stacked))
-        if sol is None:
-            raise InternalInconsistency("layer is not invariant under the radical action")
-        cols.append(sol[: len(layer)])
-    return linalg.transpose(tuple(cols)) if cols else ()
-
-
 def _nilradical_layered(g: LieAlgebra, rad: Ideal) -> Subspace:
     """{x in rad : ad(x) nilpotent} as an exact kernel intersection.
 
     Let J = [g, rad].  Along the flag g >= rad >= J >= J_2 >= ... built from
     the lower central series of J, ad(x) for x in rad strictly drops the
     first two levels and preserves the rest, so ad(x) is nilpotent iff its
-    induced action on every layer J_i/J_{i+1} is nilpotent.  Elements of J
-    act trivially on those layers, hence the induced operators of the rad
-    basis commute there, their Jordan-Chevalley semisimple parts add, and
-    the nilpotency condition per layer is the linear system
-    sum_t c_t S_t = 0.
+    induced action on every layer J_i/J_{i+1} is nilpotent.  That action is
+    ``Subquotient(J_i, J_{i+1}).operator(x)``; a layer that ad(x) does not
+    preserve raises InternalInconsistency.  Elements of J act trivially on
+    those layers, hence the induced operators of the rad basis commute
+    there, their Jordan-Chevalley semisimple parts add, and the nilpotency
+    condition per layer is the linear system sum_t c_t S_t = 0.  A change
+    of layer basis conjugates every S_t by one matrix, so the solutions do
+    not depend on the basis.
     """
     j = bracket_span(g.whole(), rad)
     series = [j]
@@ -104,23 +85,15 @@ def _nilradical_layered(g: LieAlgebra, rad: Ideal) -> Subspace:
         series.append(nxt)
 
     conditions: list[Vec] = []
-    for step in range(len(series) - 1):
-        upper, lower = series[step], series[step + 1]
-        layer = _quotient_layer_basis(upper, lower)
-        if not layer:
-            continue
-        semisimple_parts = []
-        for x in rad.matrix:
-            op = _layer_operator(g, x, layer, lower)
-            semisimple_parts.append(linalg.semisimple_part(op))
+    for upper, lower in zip(series, series[1:]):
+        layer = Subquotient(upper, lower)
+        semisimple_parts = [linalg.semisimple_part(layer.operator(x)) for x in rad.matrix]
         # one scalar condition per matrix entry of sum_t c_t S_t
-        m = len(layer)
-        for a in range(m):
-            for b in range(m):
+        for a in range(layer.dim):
+            for b in range(layer.dim):
                 conditions.append(tuple(s[a][b] for s in semisimple_parts))
     coeffs = linalg.kernel(conditions, width=rad.dim)
-    rows = [linalg.apply_mat(linalg.transpose(rad.matrix), c) for c in coeffs]
-    return Subspace(g, rows)
+    return Subspace(g, linalg.mat_mul(coeffs, rad.matrix))
 
 
 def _verify_nilradical(g: LieAlgebra, rad: Ideal, candidate: Subspace) -> bool:

@@ -21,6 +21,7 @@ from .algebra import (
     Ideal,
     LieAlgebra,
     Subalgebra,
+    Subquotient,
     Subspace,
     bracket_span,
     centralizer,
@@ -47,7 +48,7 @@ from .catalog import (
     parse_vector,
 )
 from .errors import CartanKitError, JacobiViolation
-from .levi import InducedAlgebra, induced_algebra, levi_decomposition
+from .levi import induced_algebra, levi_decomposition
 from .powermap import (
     GroupDensityInstance,
     ModelTriple,
@@ -155,7 +156,7 @@ class _FixtureContext:
         return [seen[m] for m in sorted(seen)]
 
     @cached_property
-    def levi_frame(self) -> InducedAlgebra:
+    def levi_frame(self) -> Subquotient:
         """The Levi part as a standalone algebra, shared by the Levi checks."""
         return induced_algebra(levi_decomposition(self.g).levi)
 
@@ -291,7 +292,7 @@ def _check_levi_split(ctx: _FixtureContext):
         return {"levi_dim": decomp.levi.dim, "radical_dim": decomp.radical.dim}
     if decomp.levi.intersect(decomp.radical).dim != 0:
         return _subspace_witness("intersection", decomp.levi.intersect(decomp.radical))
-    if decomp.levi.dim and not is_semisimple(ctx.levi_frame.algebra):
+    if decomp.levi.dim and not is_semisimple(ctx.levi_frame.target):
         return _subspace_witness("levi", decomp.levi)
     if decomp.radical.matrix != radical(ctx.g).matrix:
         return _subspace_witness("radical", decomp.radical)
@@ -304,7 +305,7 @@ def _check_levi_roundtrip(ctx: _FixtureContext):
         return None
     frame = ctx.levi_frame
     h_levi = composite_csa(ctx.g).trace[0]
-    back = frame.to_ambient(frame.from_ambient(h_levi))
+    back = frame.preimage_subspace(frame.push_subspace(h_levi))
     if back.matrix != h_levi.matrix:
         return {
             "inner": _matrix_to_strings(h_levi.matrix),

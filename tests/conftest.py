@@ -57,18 +57,26 @@ def sl2xheis(catalog):
 
 
 @pytest.fixture(scope="session")
-def ladder_algebra():
+def ladder():
+    """The benchmark's ladder module, with its closed-form ``oracle`` per family.
+
+    ``bench/ladder.py`` is imported read-only from its file; it does not
+    import cartankit, so its closed-form answers stay independent oracles.
+    """
+    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def ladder_algebra(ladder):
     """Algebras of the benchmark's generated ladder, e.g. ``gl3`` or ``b4``.
 
     With a ``seed`` the algebra comes in the random basis that
-    ``ladder.rebase`` draws from ``random.Random(seed)``.  ``bench/ladder.py``
-    is imported read-only from its file; it does not import cartankit, so
-    its closed-form answers stay independent oracles.
+    ``ladder.rebase`` draws from ``random.Random(seed)``.
     """
-    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER)
-    ladder = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = ladder  # dataclasses resolve annotations through it
-    spec.loader.exec_module(ladder)
 
     def build(name, seed=None):
         alg = ladder.family(name)

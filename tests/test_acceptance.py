@@ -159,7 +159,7 @@ def test_criterion_6_structural_decompositions(catalog):
         if decomp.levi.dim:
             frame = induced_algebra(decomp.levi)
             h_levi = Subalgebra(
-                g, frame.to_ambient(regular_element_csa(frame.algebra).csa).matrix
+                g, frame.preimage_subspace(regular_element_csa(frame.target).csa).matrix
             )
         else:
             h_levi = g.zero_subalgebra()
@@ -168,7 +168,7 @@ def test_criterion_6_structural_decompositions(catalog):
             ok = False
         if section.dim:
             frame = induced_algebra(section)
-            h_section = frame.to_ambient(regular_element_csa(frame.algebra).csa)
+            h_section = frame.preimage_subspace(regular_element_csa(frame.target).csa)
         else:
             h_section = g.zero_subspace()
         if h_section.sum(nil).matrix != rad.matrix:

@@ -380,6 +380,14 @@ def test_label_rendering(sl2):
     assert sl2.label_vector((0, 0, 0)) == "0"
 
 
+def test_subspace_rejects_vectors_of_the_wrong_length(sl2):
+    sub = Subspace(sl2, [(1, 0, 0)])
+    for method in (sub.contains, sub.residual, sub.coordinates):
+        for v in ((1, 0), (1, 0, 0, 5)):
+            with pytest.raises(DimensionMismatch):
+                method(v)
+
+
 @pytest.mark.parametrize("spec", ["sl2+b3", "gl3"])
 def test_subspace_integer_form_matches_linalg_on_rebased_algebra(ladder_algebra, spec):
     from cartankit.levi import levi_decomposition
@@ -405,9 +413,11 @@ def test_subspace_integer_form_matches_linalg_on_rebased_algebra(ladder_algebra,
             inside = linalg.apply_mat(linalg.transpose(sub.matrix), coeffs) if coeffs else linalg.zero_vec(n)
             assert sub.coordinates(inside) == coeffs
             probes.append(inside)
+        # the same rows in an abelian algebra: reduction sees only the rows
+        twin = Subspace(LieAlgebra(n, {}), sub.matrix)
         for v in probes:
-            assert sub.contains(v) == linalg.in_row_space(v, sub.matrix)
-            assert sub.residual(v) == linalg.residual(v, sub.matrix)
-            assert sub.coordinates(v) == linalg.row_coordinates(v, sub.matrix)
+            assert sub.contains(v) == twin.contains(v)
+            assert sub.residual(v) == twin.residual(v)
+            assert sub.coordinates(v) == twin.coordinates(v)
         for other in subspaces:
-            assert sub.contains_subspace(other) == all(linalg.in_row_space(r, sub.matrix) for r in other.matrix)
+            assert sub.contains_subspace(other) == all(twin.contains(r) for r in other.matrix)

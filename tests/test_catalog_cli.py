@@ -18,8 +18,17 @@ from cartankit.catalog import (
     parse_rational,
     parse_vector,
 )
+from cartankit import cli
 from cartankit.cli import main
-from cartankit.errors import IndexOutOfRange, JacobiViolation, ParseError
+from cartankit.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InternalInconsistency,
+    JacobiViolation,
+    NonNilpotentIterate,
+    NotClosed,
+    ParseError,
+)
 
 
 def write_json(tmp_path, name, payload):
@@ -216,6 +225,19 @@ def test_cli_cartan_methods(runner):
         assert f"dim {expected_dim}" in result.output
     result = runner.invoke(main, ["cartan", fixture_path("sl2"), "--method", "chain"])
     assert result.exit_code == 2  # chain needs a solvable algebra
+
+
+@pytest.mark.parametrize("error", [NotClosed, NonNilpotentIterate, DimensionMismatch, InternalInconsistency])
+def test_cli_other_library_errors_exit_3(runner, monkeypatch, error):
+    # every library error that is not an input error is internal: exit 3, no traceback
+    def broken(g):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "regular_element_csa", broken)
+    result = runner.invoke(main, ["cartan", fixture_path("sl2")])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "error: injected" in result.stderr
 
 
 def test_cli_levi(runner):

@@ -66,7 +66,7 @@ def test_sl2xr2_levi(sl2xr2):
     assert decomp.radical.matrix == Subspace(
         sl2xr2, [linalg.unit_vec(5, 3), linalg.unit_vec(5, 4)]
     ).matrix
-    induced = induced_algebra(decomp.levi).algebra
+    induced = induced_algebra(decomp.levi).target
     assert is_semisimple(induced)
     # split three-dimensional simple algebra: indefinite Killing form
     assert killing_is_indefinite(induced)
@@ -86,13 +86,13 @@ def test_levi_after_basis_scramble(sl2xr2):
     decomp = levi_decomposition(g)
     assert decomp.levi.dim == 3 and decomp.radical.dim == 2
     assert decomp.levi.intersect(decomp.radical).dim == 0
-    assert is_semisimple(induced_algebra(decomp.levi).algebra)
+    assert is_semisimple(induced_algebra(decomp.levi).target)
 
 
 def test_levi_with_nonabelian_radical(sl2xheis):
     decomp = levi_decomposition(sl2xheis)
     assert decomp.levi.dim == 3 and decomp.radical.dim == 3
-    assert is_semisimple(induced_algebra(decomp.levi).algebra)
+    assert is_semisimple(induced_algebra(decomp.levi).target)
 
 
 def test_levi_with_nonabelian_radical_scrambled(sl2xheis):
@@ -107,7 +107,7 @@ def test_levi_with_nonabelian_radical_scrambled(sl2xheis):
     g = change_basis(sl2xheis, p)
     decomp = levi_decomposition(g)
     assert decomp.levi.dim == 3
-    assert is_semisimple(induced_algebra(decomp.levi).algebra)
+    assert is_semisimple(induced_algebra(decomp.levi).target)
     assert decomp.levi.intersect(decomp.radical).dim == 0
     assert decomp.levi.sum(decomp.radical).dim == 6
 
@@ -149,23 +149,25 @@ def test_ladder_levi_closed_form(ladder_algebra, spec, seed):
     assert (decomp.levi.dim, decomp.radical.dim) == LADDER_LEVI_DIMS[spec]
     assert decomp.levi.intersect(decomp.radical).dim == 0
     assert decomp.levi.sum(decomp.radical).dim == g.dim
-    assert is_semisimple(induced_algebra(decomp.levi).algebra)
+    assert is_semisimple(induced_algebra(decomp.levi).target)
 
 
 def test_induced_algebra_zero_and_one_dim(sl2):
-    assert induced_algebra(sl2.zero_subalgebra()).algebra.dim == 0
+    assert induced_algebra(sl2.zero_subalgebra()).target.dim == 0
     one = induced_algebra(Subalgebra(sl2, [(1, 0, 0)]))
-    assert one.algebra.dim == 1
-    assert one.algebra.bracket((1,), (1,)) == (F(0),)
+    assert one.target.dim == 1
+    assert one.target.bracket((1,), (1,)) == (F(0),)
 
 
 def test_induced_algebra_of_levi_part(sl2xr2):
     decomp = levi_decomposition(sl2xr2)
     frame = induced_algebra(decomp.levi)
     # same constants as sl2 in the canonical ordering of the complement
-    assert frame.algebra.bracket_basis(0, 1) == (F(0), F(2), F(0))
-    assert frame.algebra.bracket_basis(0, 2) == (F(0), F(0), F(-2))
-    assert frame.algebra.bracket_basis(1, 2) == (F(1), F(0), F(0))
+    assert frame.target.bracket_basis(0, 1) == (F(0), F(2), F(0))
+    assert frame.target.bracket_basis(0, 2) == (F(0), F(0), F(-2))
+    assert frame.target.bracket_basis(1, 2) == (F(1), F(0), F(0))
+    # the labels are the ambient labels at the pivot columns of the rows
+    assert frame.target.basis_labels == ("h", "e", "f")
 
 
 def test_induced_algebra_rejects_open_span(sl2):
@@ -177,10 +179,10 @@ def test_induced_algebra_rejects_open_span(sl2):
 def test_induced_roundtrip(sl2xheis):
     decomp = levi_decomposition(sl2xheis)
     frame = induced_algebra(decomp.levi)
-    inner = Subspace(frame.algebra, [(1, 0, 0)])
-    ambient = frame.to_ambient(inner)
-    assert frame.from_ambient(ambient).matrix == inner.matrix
-    again = frame.to_ambient(frame.from_ambient(ambient))
+    inner = Subspace(frame.target, [(1, 0, 0)])
+    ambient = frame.preimage_subspace(inner)
+    assert frame.push_subspace(ambient).matrix == inner.matrix
+    again = frame.preimage_subspace(frame.push_subspace(ambient))
     assert again.matrix == ambient.matrix
 
 

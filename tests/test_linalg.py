@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartankit import linalg
+from cartankit.algebra import LieAlgebra, Subspace
 from cartankit.errors import DimensionMismatch
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -49,18 +50,23 @@ def test_rref_invariant_under_row_operations(rows, scale, i, j):
     assert linalg.rref(work) == base
 
 
+def row_space(rows, width=None):
+    """The span of the rows inside an abelian algebra of their width."""
+    return Subspace(LieAlgebra(len(rows[0]) if width is None else width, {}), rows)
+
+
 def test_residual_and_membership():
-    rows = linalg.rref([[1, 0, 1], [0, 1, 2]])
-    assert linalg.in_row_space([2, 3, 8], rows)
-    assert not linalg.in_row_space([0, 0, 1], rows)
-    assert linalg.residual([2, 3, 8], rows) == (F(0), F(0), F(0))
+    rows = row_space([[1, 0, 1], [0, 1, 2]])
+    assert rows.contains([2, 3, 8])
+    assert not rows.contains([0, 0, 1])
+    assert rows.residual([2, 3, 8]) == (F(0), F(0), F(0))
 
 
 def test_row_coordinates_roundtrip():
-    rows = linalg.rref([[1, 2, 0], [0, 0, 1]])
-    coords = linalg.row_coordinates([3, 6, 5], rows)
+    rows = row_space([[1, 2, 0], [0, 0, 1]])
+    coords = rows.coordinates([3, 6, 5])
     assert coords == (F(3), F(5))
-    assert linalg.row_coordinates([1, 0, 0], rows) is None
+    assert rows.coordinates([1, 0, 0]) is None
 
 
 def test_kernel_of_known_system():
@@ -267,10 +273,12 @@ def fraction_row_coordinates(v, rref_rows):
 
 
 def assert_reductions_match(v, canonical):
+    sub = row_space(canonical, width=len(v))
+    assert sub.matrix == canonical
     res = fraction_residual(v, canonical)
-    assert linalg.residual(v, canonical) == res
-    assert linalg.in_row_space(v, canonical) == (not any(res))
-    assert linalg.row_coordinates(v, canonical) == fraction_row_coordinates(v, canonical)
+    assert sub.residual(v) == res
+    assert sub.contains(v) == (not any(res))
+    assert sub.coordinates(v) == fraction_row_coordinates(v, canonical)
 
 
 def oracle_matrix(rng, rows, cols, big=True):
@@ -348,11 +356,11 @@ def test_integer_core_empty_shapes():
     assert linalg.rref([]) == fraction_rref([]) == ()
     assert linalg.rref([(), ()]) == ()
     assert linalg.rref([[0, 0, 0]]) == ()
-    assert linalg.residual([], ()) == ()
-    assert linalg.residual([F(1, 3), F(-2)], ()) == (F(1, 3), F(-2))
-    assert linalg.row_coordinates([0, 0], ()) == ()
-    assert linalg.row_coordinates([1, 0], ()) is None
-    assert linalg.in_row_space([0, 0], ())
+    assert row_space((), width=0).residual([]) == ()
+    assert row_space((), width=2).residual([F(1, 3), F(-2)]) == (F(1, 3), F(-2))
+    assert row_space((), width=2).coordinates([0, 0]) == ()
+    assert row_space((), width=2).coordinates([1, 0]) is None
+    assert row_space((), width=2).contains([0, 0])
     assert linalg.kernel([[0, 0]]) == linalg.identity(2)
     for ragged in ([[1, 2], [1]], [[0, 0], [0]], [[], [1]]):
         with pytest.raises(DimensionMismatch):

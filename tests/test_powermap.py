@@ -18,7 +18,6 @@ from cartankit.powermap import (
     load_triples,
     pk_surjective,
     powers_surjective_bruteforce,
-    smallest_failing_k,
     weakly_exponential_model,
 )
 
@@ -119,12 +118,6 @@ def test_weak_exponentiality_verdicts():
     assert not weakly_exponential_model(
         GroupDensityInstance("g", (model([3]),))
     )
-
-
-def test_smallest_failing_k():
-    assert smallest_failing_k(SL2R) == 2
-    assert smallest_failing_k(GroupDensityInstance("g", (model([15, 49]),))) == 3
-    assert smallest_failing_k(GroupDensityInstance("t", (model([], b=1),))) is None
 
 
 # ---------------------------------------------------------------------------

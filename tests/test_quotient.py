@@ -19,7 +19,8 @@ def q_sl2xr2(sl2xr2):
 def test_quotient_by_everything_is_zero(sl2):
     q = quotient_algebra(sl2, Ideal(sl2, linalg.identity(3)))
     assert q.target.dim == 0
-    assert q.projection == ()
+    assert q.basis.matrix == ()
+    assert q.push_vector((1, 2, 3)) == ()
 
 
 def test_quotient_rejects_non_ideal(sl2):
@@ -46,8 +47,11 @@ def test_sl2xr2_mod_plane_is_sl2(q_sl2xr2):
 
 def test_projection_section_identity(q_sl2xr2):
     q = q_sl2xr2
-    assert linalg.mat_mul(q.projection, q.section) == linalg.identity(3)
-    assert linalg.kernel(q.projection, width=5) == q.ideal.matrix
+    for e in linalg.identity(3):
+        assert q.push_vector(q.lift_vector(e)) == e
+    # the push kills exactly the ideal: its matrix has the ideal as kernel
+    push = linalg.transpose(tuple(q.push_vector(e) for e in linalg.identity(5)))
+    assert linalg.kernel(push, width=5) == q.lower.matrix
 
 
 def test_projection_is_homomorphism(q_sl2xr2, sl2xr2):
