@@ -219,10 +219,10 @@ class LieAlgebra:
 class Subspace:
     """A linear subspace in canonical (reduced echelon) form.
 
-    ``matrix`` holds the canonical rows as ``Fraction`` tuples.  Membership,
-    residuals and coordinates reduce in Python ints against the integer
-    form of those rows (``linalg.echelon_form``), built once per instance
-    on first use.
+    ``matrix`` holds the canonical rows as ``Fraction`` tuples, ``_echelon``
+    the same rows as primitive integers (``linalg.echelon_form``).
+    Membership, residuals, coordinates, bracket spans and conditions work
+    on ``_echelon`` in Python ints.
     """
 
     def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence]):
@@ -237,26 +237,42 @@ class Subspace:
     def dim(self) -> int:
         return len(self.matrix)
 
+    @classmethod
+    def _from_ints(cls, ambient: LieAlgebra, rows: Iterable[Sequence[int]]) -> "Subspace":
+        pivot_rows = linalg.rref_ints(rows)
+        obj = cls.__new__(cls)
+        obj.ambient = ambient
+        obj.matrix = linalg.canonical_rows(pivot_rows)
+        obj._echelon = linalg.echelon_form(pivot_rows)
+        return obj
+
     @functools.cached_property
     def _echelon(self) -> linalg.EchelonForm:
-        return linalg.echelon_form(self.matrix)
+        # a canonical row over the lcm of its denominators is primitive
+        pivots = linalg.pivot_columns(self.matrix)
+        return linalg.echelon_form([(p, linalg.scaled_ints(r)[0]) for p, r in zip(pivots, self.matrix)])
 
     def _fit(self, v: Sequence) -> Vec:
         if len(v) != self.ambient.dim:
             raise DimensionMismatch("vector length does not match ambient dimension")
         return linalg.vec(v)
 
+    def _contains_ints(self, v: Sequence[int]) -> bool:
+        return not any(linalg.reduce_ints(v, 1, self._echelon)[0])
+
     def contains(self, v: Sequence) -> bool:
-        return not any(linalg.reduce_ints(self._fit(v), self._echelon)[0])
+        return self._contains_ints(linalg.scaled_ints(self._fit(v))[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.matrix)
 
     def residual(self, v: Sequence) -> Vec:
-        return linalg.over(*linalg.reduce_ints(self._fit(v), self._echelon))
+        return linalg.over(*linalg.reduce_ints(*linalg.scaled_ints(self._fit(v)), self._echelon))
 
     def coordinates(self, v: Sequence) -> Vec | None:
-        return linalg.form_coordinates(self._fit(v), self._echelon)
+        # every other canonical row is zero at a row's pivot column
+        v = self._fit(v)
+        return tuple(v[p] for p, _, _ in self._echelon) if self.contains(v) else None
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
@@ -265,13 +281,10 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
         n = self.ambient.dim
-        conditions = []
-        for sub in (self, other):
-            # x is in sub iff reducing x against sub's rows leaves zero;
-            # the reduction is linear in x, one functional row per coordinate
-            cols = [sub.residual(linalg.unit_vec(n, i)) for i in range(n)]
-            conditions.extend(linalg.transpose(tuple(cols)))
-        return Subspace(self.ambient, linalg.kernel(conditions, width=n))
+        # x is in sub iff reducing x against sub's rows leaves zero
+        units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+        conditions = _residual_conditions(self, units) + _residual_conditions(other, units)
+        return _kernel_subspace(self.ambient, conditions)
 
     def _require_same_ambient(self, other: "Subspace") -> None:
         if self.ambient.dim != other.ambient.dim:
@@ -296,12 +309,14 @@ class Subalgebra(Subspace):
 
     def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence]):
         super().__init__(ambient, rows)
-        # antisymmetry handles the diagonal and the transposed pairs
-        for i, a in enumerate(self.matrix):
-            for b in self.matrix[i + 1 :]:
-                w = ambient.bracket(a, b)
-                if not self.contains(w):
-                    raise NotClosed(f"bracket of basis rows leaves the span: [{a}, {b}] = {w}")
+        # antisymmetry handles the diagonal and the transposed pairs; the
+        # integer rows are positive multiples of the canonical ones
+        pairs = [r for _, r, _ in self._echelon]
+        for i, x in enumerate(pairs):
+            for j in range(i + 1, len(pairs)):
+                if not self._contains_ints(ambient._bracket_ints(x, pairs[j])):
+                    a, b = self.matrix[i], self.matrix[j]
+                    raise NotClosed(f"bracket of basis rows leaves the span: [{a}, {b}] = {ambient.bracket(a, b)}")
 
     @classmethod
     def _trusted(cls, ambient: LieAlgebra, rows: Iterable[Sequence]):
@@ -316,14 +331,14 @@ class Ideal(Subalgebra):
 
     def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence]):
         Subspace.__init__(self, ambient, rows)
-        for i in range(ambient.dim):
-            for a in self.matrix:
-                w = ambient.bracket_basis_vec(i, a)
-                if not self.contains(w):
-                    raise NotIdeal(
-                        f"[{ambient.basis_labels[i]}, row] leaves the span: "
-                        f"row {a}, bracket {w}"
-                    )
+        escape = _escaping_bracket(self)
+        if escape:
+            i, t = escape
+            a = self.matrix[t]
+            raise NotIdeal(
+                f"[{ambient.basis_labels[i]}, row] leaves the span: "
+                f"row {a}, bracket {ambient.bracket_basis_vec(i, a)}"
+            )
 
 
 class Subquotient:
@@ -350,8 +365,13 @@ class Subquotient:
     def dim(self) -> int:
         return self.basis.dim
 
-    def _coordinates(self, v: Sequence) -> Vec | None:
-        return self.basis.coordinates(self.lower.residual(v))
+    def _push_ints(self, v: Sequence[int]) -> tuple[list[int], int] | None:
+        """Coordinates of v + L as (integers, scale): the residual's entries at
+        the pivots of ``basis``; None when the residual is outside ``basis``."""
+        res, s = linalg.reduce_ints(v, 1, self.lower._echelon)
+        if not self.basis._contains_ints(res):
+            return None
+        return [res[p] for p, _, _ in self.basis._echelon], s
 
     def push_vector(self, v: Sequence) -> Vec:
         """Coordinates of v + L over ``basis``.
@@ -359,10 +379,11 @@ class Subquotient:
         Every caller pushes vectors that lie in U + L by construction, so a
         vector outside signals a bug and raises InternalInconsistency.
         """
-        coords = self._coordinates(v)
-        if coords is None:
+        ints, d = linalg.scaled_ints(self.lower._fit(v))
+        pushed = self._push_ints(ints)
+        if pushed is None:
             raise InternalInconsistency("vector lies outside the subquotient")
-        return coords
+        return linalg.over(pushed[0], pushed[1] * d)
 
     def push_subspace(self, sub: Subspace) -> Subspace:
         return Subspace(self.target, [self.push_vector(r) for r in sub.matrix])
@@ -383,7 +404,13 @@ class Subquotient:
     def operator(self, x: Sequence) -> Mat:
         """Matrix of ad x on U/L: column t holds the coordinates of [x, b_t]."""
         g = self.upper.ambient
-        cols = [self.push_vector(g.bracket(x, b)) for b in self.basis.matrix]
+        (xs,), dx = linalg.integer_rows((self.lower._fit(x),))
+        cols = []
+        for _, r, a in self.basis._echelon:
+            pushed = self._push_ints(g._bracket_ints(xs, r))
+            if pushed is None:
+                raise InternalInconsistency("vector lies outside the subquotient")
+            cols.append(linalg.over(pushed[0], pushed[1] * g._d * dx * a))  # b_t = r / a
         return linalg.transpose(tuple(cols))
 
     @functools.cached_property
@@ -395,17 +422,19 @@ class Subquotient:
         A bracket that leaves U + L raises NotClosed.
         """
         g = self.upper.ambient
-        rows = self.basis.matrix
+        rows = self.basis._echelon
         constants: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i, a in enumerate(rows):
+        for i, (_, x, a) in enumerate(rows):
             for j in range(i + 1, len(rows)):
-                coords = self._coordinates(g.bracket(a, rows[j]))
-                if coords is None:
+                _, y, b = rows[j]
+                pushed = self._push_ints(g._bracket_ints(x, y))
+                if pushed is None:
                     raise NotClosed(f"bracket of basis rows {i},{j} leaves the subquotient")
-                entry = {k: c for k, c in enumerate(coords) if c}
+                den = pushed[1] * g._d * a * b
+                entry = {k: Fraction(c, den) for k, c in enumerate(pushed[0]) if c}
                 if entry:
                     constants[(i, j)] = entry
-        labels = [g.basis_labels[p] for p in linalg.pivot_columns(rows)]
+        labels = [g.basis_labels[p] for p, _, _ in rows]
         return LieAlgebra(len(rows), constants, labels)
 
 
@@ -413,45 +442,57 @@ def subalgebra_closure(ambient: LieAlgebra, vectors: Iterable[Sequence]) -> Suba
     """Smallest bracket-closed subspace containing the vectors."""
     current = Subspace(ambient, vectors)
     while True:
-        brackets = [
-            ambient.bracket(a, b)
-            for ai, a in enumerate(current.matrix)
-            for b in current.matrix[ai + 1 :]
-        ]
-        bigger = Subspace(ambient, current.matrix + tuple(brackets))
+        bigger = current.sum(bracket_span(current, current))
         if bigger.matrix == current.matrix:
             return Subalgebra(ambient, current.matrix)
         current = bigger
 
 
 def bracket_span(a: Subspace, b: Subspace) -> Subspace:
-    """Span of [a_i, b_j] over basis rows; the subspace [A, B]."""
+    """Span of [a_i, b_j] over basis rows; the subspace [A, B].
+
+    The integer rows are positive multiples of the canonical rows, so their
+    integer brackets span the same space; with equal rows only i < j count.
+    """
     a._require_same_ambient(b)
     g = a.ambient
-    rows = [g.bracket(x, y) for x in a.matrix for y in b.matrix]
-    return Subspace(g, rows)
+    xs = [r for _, r, _ in a._echelon]
+    if a._echelon == b._echelon:
+        rows = [g._bracket_ints(x, y) for i, x in enumerate(xs) for y in xs[i + 1 :]]
+    else:
+        rows = [g._bracket_ints(x, y) for x in xs for _, y, _ in b._echelon]
+    return Subspace._from_ints(g, rows)
+
+
+def _residual_conditions(sub: Subspace, cols: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Integer rows of x -> residual of sum_i x_i cols[i] modulo sub: the
+    columns' residuals, brought to the lcm of their scales, transposed."""
+    reduced = [linalg.reduce_ints(c, 1, sub._echelon) for c in cols]
+    m = math.lcm(*(s for _, s in reduced))
+    return list(zip(*([x * (m // s) for x in r] for r, s in reduced)))
+
+
+def _kernel_subspace(g: LieAlgebra, conditions: Sequence[Sequence[int]]) -> Subspace:
+    """{x : c x = 0 for every integer condition row c}."""
+    return Subspace._from_ints(g, linalg.kernel_ints(linalg.rref_ints(conditions), g.dim))
 
 
 def normalizer(sub: Subspace) -> Subspace:
     """{x : [x, L] is contained in L}, by exact linear solving."""
     g = sub.ambient
-    n = g.dim
     conditions = []
-    for row in sub.matrix:
-        cols = [sub.residual(g.bracket_basis_vec(i, row)) for i in range(n)]
-        conditions.extend(linalg.transpose(tuple(cols)))
-    return Subspace(g, linalg.kernel(conditions, width=n))
+    for _, r, _ in sub._echelon:
+        conditions += _residual_conditions(sub, [g._bracket_ints(((i, 1),), r) for i in range(g.dim)])
+    return _kernel_subspace(g, conditions)
 
 
 def centralizer(sub: Subspace) -> Subspace:
     """{x : [x, s] = 0 for every s in S}; centralizer(whole) is the center."""
     g = sub.ambient
-    n = g.dim
     conditions = []
-    for row in sub.matrix:
-        cols = [g.bracket_basis_vec(i, row) for i in range(n)]
-        conditions.extend(linalg.transpose(tuple(cols)))
-    return Subspace(g, linalg.kernel(conditions, width=n))
+    for _, r, _ in sub._echelon:
+        conditions += zip(*[g._bracket_ints(((i, 1),), r) for i in range(g.dim)])
+    return _kernel_subspace(g, conditions)
 
 
 def lower_central_series(sub: Subspace) -> list[Subspace]:
@@ -504,17 +545,24 @@ def killing_form(g: LieAlgebra) -> Mat:
 
 
 def killing_value(form: Mat, x: Sequence, y: Sequence) -> Fraction:
-    return sum(
-        (Fraction(xi) * sum((fij * Fraction(yj) for fij, yj in zip(row, y)), Fraction(0))
-         for xi, row in zip(x, form)),
-        Fraction(0),
-    )
+    """x^T form y, summed over the nonzero entries of x and y only."""
+    ys = [(j, Fraction(yj)) for j, yj in enumerate(y) if yj]
+    total = Fraction(0)
+    for xi, row in zip(x, form):
+        if xi:
+            total += Fraction(xi) * sum((row[j] * yj for j, yj in ys), Fraction(0))
+    return total
+
+
+def _escaping_bracket(sub: Subspace) -> tuple[int, int] | None:
+    """(i, t) for the first [e_i, row t] outside sub, or None for an ideal."""
+    g = sub.ambient
+    for i in range(g.dim):
+        for t, (_, r, _) in enumerate(sub._echelon):
+            if not sub._contains_ints(g._bracket_ints(((i, 1),), r)):
+                return i, t
+    return None
 
 
 def is_ideal(sub: Subspace) -> bool:
-    g = sub.ambient
-    for i in range(g.dim):
-        for a in sub.matrix:
-            if not sub.contains(g.bracket_basis_vec(i, a)):
-                return False
-    return True
+    return _escaping_bracket(sub) is None

@@ -74,9 +74,13 @@ def fitting_null(k: Subspace, x) -> Subspace:
     """
     if not k.contains(x):
         raise HypothesisViolated("the element does not lie in the subalgebra")
-    frame = Subquotient(k, k.ambient.zero_subspace())
+    return _fitting_null(Subquotient(k, k.ambient.zero_subspace()), x)
+
+
+def _fitting_null(frame: Subquotient, x) -> Subspace:
+    """``fitting_null`` on the frame K/0 of K, for an x known to lie in K."""
     null = linalg.kernel(linalg.mat_pow(frame.operator(x), frame.dim), width=frame.dim)
-    return Subspace(k.ambient, linalg.mat_mul(null, frame.basis.matrix))
+    return Subspace(frame.upper.ambient, linalg.mat_mul(null, frame.basis.matrix))
 
 
 def fitting_null_recursion(k: Subalgebra) -> CartanResult:
@@ -106,10 +110,11 @@ def fitting_null_recursion(k: Subalgebra) -> CartanResult:
     chain: list[Subspace] = [k]
     while not is_nilpotent(chain[-1]):
         current = chain[-1]
+        frame = Subquotient(current, current.ambient.zero_subspace())
         rows = current.matrix
         sums = (linalg.vec_add(a, b) for a, b in itertools.combinations(rows, 2))
         for x in itertools.chain(rows, sums):
-            component = fitting_null(current, x)
+            component = _fitting_null(frame, x)
             if component.dim < current.dim:
                 chain.append(component)
                 break

@@ -14,7 +14,6 @@ import click
 
 from .algebra import Ideal, LieAlgebra, Subspace
 from .cartan import (
-    CsaMethod,
     composite_csa,
     normalizer_chain_csa,
     regular_element_csa,

@@ -8,7 +8,9 @@ stabilization by syntactic equality of canonical forms.
 ``Fraction`` is the interface, Python ints are the inside.  Products,
 elimination and reduction scale each row or vector to integers over one
 denominator, work fraction-free, and build one canonical ``Fraction`` per
-output entry at the end.
+output entry at the end.  Callers that hold integer rows, such as
+brackets from the structure table, enter at ``rref_ints``, ``kernel_ints``
+and ``reduce_ints``; ``rref`` and ``kernel`` convert and call the same.
 """
 
 from __future__ import annotations
@@ -152,18 +154,7 @@ def scaled_ints(row: Sequence[Fraction]) -> tuple[list[int], int]:
     return [p * (d // q) if p else 0 for p, q in pairs], d
 
 
-def primitive_row(row: Sequence[Fraction]) -> list[int]:
-    """row scaled to integers and divided by their content; zeros stay zeros.
-
-    For a canonical row (pivot entry 1) the content is already 1, so the
-    pivot entry is the lcm of the row's denominators.
-    """
-    ints, _ = scaled_ints(row)
-    g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
-
-
-def _clear(r: list[int], pivot: list[int], col: int) -> list[int]:
+def _clear(r: Sequence[int], pivot: Sequence[int], col: int) -> list[int]:
     """r <- (a/g) r - (b/g) pivot with a, b the entries at col; then primitive."""
     a, b = pivot[col], r[col]
     g = math.gcd(a, b)
@@ -173,28 +164,31 @@ def _clear(r: list[int], pivot: list[int], col: int) -> list[int]:
     return [x // h for x in r] if h > 1 else r
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
-    """Reduced row echelon form with zero rows dropped and pivots scaled to 1.
+# (pivot column, row) per reduced echelon row, ascending; the row is
+# primitive integers, positive at its pivot: the canonical row times that.
+PivotRows = list[tuple[int, Sequence[int]]]
 
-    The output is the unique canonical representative of the row space, so
-    subspace equality is plain tuple equality of the results.  Elimination
-    is fraction-free (Bareiss 1968; Cohen 1993, sec. 2.2): every row is held
-    as a primitive integer row, each row with a nonzero entry in the pivot
-    column is cleared by cross-multiplication and divided by its content,
-    and rows that become zero are dropped at once.  Each pivot row is
-    divided by its pivot entry only at the end.
+
+def rref_ints(rows: Iterable[Sequence[int]]) -> PivotRows:
+    """The reduced echelon form of integer rows, in integers.
+
+    Fraction-free (Bareiss 1968; Cohen 1993, sec. 2.2): rows are divided
+    by their content and zero rows dropped at once, and each row with a
+    nonzero entry in the pivot column is cleared by cross-multiplication
+    and divided by its content again.  Scaling an input row by a positive
+    integer does not change the result.
     """
-    active: list[list[int]] = []
+    active: list[Sequence[int]] = []
     widths = set()
     for r in rows:
-        r = primitive_row(vec(r))
         widths.add(len(r))
-        if any(r):
-            active.append(r)
+        h = math.gcd(*r)
+        if h:
+            active.append([x // h for x in r] if h > 1 else r)
     if len(widths) > 1:
         raise DimensionMismatch("ragged matrix")
     ncols = widths.pop() if widths else 0
-    done: list[list[int]] = []
+    done: list[Sequence[int]] = []
     cols: list[int] = []
     for col in range(ncols):
         hits = [i for i, r in enumerate(active) if r[col]]
@@ -211,7 +205,23 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
         cols.append(col)
         if not active:
             break
-    return tuple(over(r, r[c]) for c, r in zip(cols, done))
+    return [(c, r if r[c] > 0 else [-x for x in r]) for c, r in zip(cols, done)]
+
+
+def canonical_rows(pivot_rows: PivotRows) -> Mat:
+    """The canonical ``Fraction`` rows: each integer row over its pivot entry."""
+    return tuple(over(r, r[c]) for c, r in pivot_rows)
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> Mat:
+    """Reduced row echelon form with zero rows dropped and pivots scaled to 1.
+
+    The output is the unique canonical representative of the row space, so
+    subspace equality is plain tuple equality of the results.  Rows are
+    scaled to integers, eliminated by ``rref_ints`` and each divided by its
+    pivot entry once at the end.
+    """
+    return canonical_rows(rref_ints([scaled_ints(vec(r))[0] for r in rows]))
 
 
 def pivot_columns(rref_rows: Mat) -> tuple[int, ...]:
@@ -228,35 +238,29 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return len(rref(rows))
 
 
-# The integer form of canonical rows: per row, its pivot column, the
-# nonzero (column, entry) pairs of its primitive integer row, and that
-# row's pivot entry, which is positive.
+# The sparse form of integer echelon rows: per row, its pivot column, the
+# nonzero (column, entry) pairs of its integer row, and that row's pivot
+# entry, which is positive.
 EchelonForm = tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]
 
 
-def echelon_form(rref_rows: Mat) -> EchelonForm:
-    form = []
-    for row in rref_rows:
-        ints = primitive_row(row)
-        pairs = tuple((j, x) for j, x in enumerate(ints) if x)
-        p = pairs[0][0]
-        form.append((p, pairs, ints[p]))
-    return tuple(form)
+def echelon_form(pivot_rows: PivotRows) -> EchelonForm:
+    return tuple((p, tuple((j, x) for j, x in enumerate(r) if x), r[p]) for p, r in pivot_rows)
 
 
-def reduce_ints(v: Vec, form: EchelonForm) -> tuple[list[int], int]:
-    """The residual of v against the rows of ``form``, as (integers, scale).
+def reduce_ints(v: Sequence[int], s: int, form: EchelonForm) -> tuple[list[int], int]:
+    """The residual of v / s against the rows of ``form``, as (integers, scale).
 
-    v is scaled to integers over one running scale s.  At each pivot p with
-    a nonzero entry c of the running vector, the row is cleared by
-    cross-multiplication as in ``rref``: with a the row's pivot entry and
-    g = gcd(a, c), the vector is multiplied by a/g and c/g times the row is
-    subtracted.  When a/g > 1, s takes the same factor and the gcd of s and
-    the entries is divided out.  The residual is the integers over s, and
-    it is zero iff the integers are, so the membership test needs no
-    division.
+    The running vector starts as the integers v over the scale s.  At each
+    pivot p with a nonzero entry c of the running vector, the row is cleared
+    by cross-multiplication as in ``rref_ints``: with a the row's pivot
+    entry and g = gcd(a, c), the vector is multiplied by a/g and c/g times
+    the row is subtracted.  When a/g > 1, s takes the same factor and the
+    gcd of s and the entries is divided out.  The residual is the integers
+    over s, and it is zero iff the integers are, so the membership test
+    needs no division and takes any scale.
     """
-    out, s = scaled_ints(v)
+    out = list(v)
     for p, pairs, a in form:
         c = out[p]
         if not c:
@@ -276,15 +280,22 @@ def reduce_ints(v: Vec, form: EchelonForm) -> tuple[list[int], int]:
     return out, s
 
 
-def form_coordinates(v: Vec, form: EchelonForm) -> Vec | None:
-    """Coefficients of v over the rows of ``form``, or None if v is outside.
-
-    Every other canonical row is zero at a row's pivot column, so the
-    coefficient of that row is v's entry there.
-    """
-    if any(reduce_ints(v, form)[0]):
-        return None
-    return tuple(v[p] for p, _, _ in form)
+def kernel_ints(pivot_rows: PivotRows, width: int) -> list[list[int]]:
+    """An integer basis of {x : M x = 0} read off M's ``rref_ints`` rows: per
+    free column f, m at f and -r[f] m / r[p] at each pivot p, m an lcm."""
+    pivots = {p for p, _ in pivot_rows}
+    basis = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        hits = [(p, r) for p, r in pivot_rows if r[f]]
+        m = math.lcm(*(r[p] for p, r in hits))
+        x = [0] * width
+        x[f] = m
+        for p, r in hits:
+            x[p] = -r[f] * (m // r[p])
+        basis.append(x)
+    return basis
 
 
 def kernel(rows: Iterable[Sequence[Fraction]], width: int | None = None) -> Mat:
@@ -293,27 +304,12 @@ def kernel(rows: Iterable[Sequence[Fraction]], width: int | None = None) -> Mat:
     ``width`` must be given when M has no rows at all (the kernel is then
     the full space).
     """
-    rows = [vec(r) for r in rows]
-    if rows and width is None:
+    rows = [scaled_ints(vec(r))[0] for r in rows]
+    if rows:
         width = len(rows[0])
-    m = rref(rows)
-    if not m:
-        if width is None:
-            raise DimensionMismatch("kernel of an empty system needs an explicit width")
-        return identity(width)
-    ncols = len(m[0])
-    pivots = pivot_columns(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        x = [ZERO] * ncols
-        x[free] = ONE
-        for row, p in zip(m, pivots):
-            x[p] = -row[free]
-        basis.append(tuple(x))
-    return rref(basis)
+    elif width is None:
+        raise DimensionMismatch("kernel of an empty system needs an explicit width")
+    return canonical_rows(rref_ints(kernel_ints(rref_ints(rows), width)))
 
 
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], width: int | None = None) -> Vec | None:

@@ -19,7 +19,6 @@ from . import linalg
 from .algebra import (
     Ideal,
     LieAlgebra,
-    Subalgebra,
     Subquotient,
     Subspace,
     bracket_span,

@@ -6,14 +6,12 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
 
 import hashlib
-import itertools
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from cartankit import linalg
 from cartankit.algebra import (
     Ideal,
     Subalgebra,

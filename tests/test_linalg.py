@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -250,6 +251,22 @@ def fraction_rref(rows):
     return tuple(tuple(r) for r in work[:pivot_row])
 
 
+def fraction_kernel(rows):
+    """The free-variable basis of {x : M x = 0} from ``fraction_rref``, reduced."""
+    width = len(rows[0])
+    m = fraction_rref(rows)
+    pivots = linalg.pivot_columns(m)
+    basis = []
+    for free in range(width):
+        if free not in pivots:
+            x = [F(0)] * width
+            x[free] = F(1)
+            for row, p in zip(m, pivots):
+                x[p] = -row[free]
+            basis.append(x)
+    return fraction_rref(basis)
+
+
 def fraction_residual(v, rref_rows):
     out = list(linalg.vec(v))
     for row, p in zip(rref_rows, linalg.pivot_columns(rref_rows)):
@@ -327,15 +344,16 @@ def test_integer_core_matches_fraction_oracle(seed, monkeypatch):
         consistent = tuple(sum((a * b for a, b in zip(row, m[0])), F(0)) for row in m)
         for v in probe_vectors(rng, canonical, width):
             assert_reductions_match(v, canonical)
-        got = (linalg.kernel(m), linalg.solve(m, rhs), linalg.solve(m, consistent))
+        assert linalg.kernel(m) == fraction_kernel(m)
+        got = (linalg.solve(m, rhs), linalg.solve(m, consistent))
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "rref", fraction_rref)
-            want = (linalg.kernel(m), linalg.solve(m, rhs), linalg.solve(m, consistent))
+            want = (linalg.solve(m, rhs), linalg.solve(m, consistent))
         assert got == want
-        assert got[2] is not None
+        assert got[1] is not None
 
 
-def test_integer_core_matches_fraction_oracle_60x40(monkeypatch):
+def test_integer_core_matches_fraction_oracle_60x40():
     rng = random.Random(60)
     m = oracle_matrix(rng, 60, 40, big=False)  # small entries keep the Fraction oracle fast
     # rank deficiency: the last 30 rows are combinations of the first 30
@@ -346,10 +364,7 @@ def test_integer_core_matches_fraction_oracle_60x40(monkeypatch):
     assert len(canonical) <= 30
     for v in probe_vectors(rng, canonical, 40):
         assert_reductions_match(v, canonical)
-    got = linalg.kernel(m)
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "rref", fraction_rref)
-        assert linalg.kernel(m) == got
+    assert linalg.kernel(m) == fraction_kernel(m)
 
 
 def test_integer_core_empty_shapes():
@@ -365,6 +380,47 @@ def test_integer_core_empty_shapes():
     for ragged in ([[1, 2], [1]], [[0, 0], [0]], [[], [1]]):
         with pytest.raises(DimensionMismatch):
             linalg.rref(ragged)
+
+
+def assert_integer_echelon(pivot_rows, width):
+    """Ascending pivots; each row primitive, positive at its pivot, zero at the others."""
+    pivots = [p for p, _ in pivot_rows]
+    assert pivots == sorted(set(pivots))
+    for p, r in pivot_rows:
+        assert len(r) == width and all(type(x) is int for x in r)
+        assert next(j for j, x in enumerate(r) if x) == p and r[p] > 0
+        assert math.gcd(*r) == 1
+        assert all(r[q] == 0 for q in pivots if q != p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_ints_matches_rref(seed):
+    rng = random.Random(500 + seed)
+    matrices = [oracle_matrix(rng, *shape) for shape in ORACLE_SHAPES]
+    matrices += [random_rational_matrix(rng, 5, 4), linalg.zero_mat(3, 4)]
+    for m in matrices:
+        width = len(m[0])
+        # any positive scale per row spans the same rows
+        scales = [rng.randint(1, 9) for _ in m]
+        ints = [[c * x for x in linalg.scaled_ints(r)[0]] for c, r in zip(scales, m)]
+        pivot_rows = linalg.rref_ints(ints)
+        assert_integer_echelon(pivot_rows, width)
+        assert linalg.canonical_rows(pivot_rows) == linalg.rref(m) == fraction_rref(m)
+        basis = linalg.kernel_ints(pivot_rows, width)
+        assert len(basis) == width - len(pivot_rows)
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in ints for x in basis)
+        assert linalg.canonical_rows(linalg.rref_ints(basis)) == linalg.kernel(m) == fraction_kernel(m)
+
+
+def test_rref_ints_empty_shapes():
+    assert linalg.rref_ints([]) == []
+    assert linalg.rref_ints([[], []]) == []
+    assert linalg.rref_ints([[0, 0, 0], [0, 0, 0]]) == []
+    assert linalg.kernel_ints([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.kernel_ints([], 0) == []
+    for ragged in ([[1, 2], [1]], [[0, 0], [0]], [[], [1]]):
+        with pytest.raises(DimensionMismatch):
+            linalg.rref_ints(ragged)
 
 
 def sympy_rref(sympy, rows):
