@@ -9,8 +9,9 @@ stabilization by syntactic equality of canonical forms.
 elimination and reduction scale each row or vector to integers over one
 denominator, work fraction-free, and build one canonical ``Fraction`` per
 output entry at the end.  Callers that hold integer rows, such as
-brackets from the structure table, enter at ``rref_ints``, ``kernel_ints``
-and ``reduce_ints``; ``rref`` and ``kernel`` convert and call the same.
+brackets from the structure table, enter at ``rref_ints``, ``kernel_ints``,
+``reduce_ints`` and ``solve_ints``; ``rref``, ``kernel`` and ``solve``
+convert and call the same.
 """
 
 from __future__ import annotations
@@ -312,31 +313,38 @@ def kernel(rows: Iterable[Sequence[Fraction]], width: int | None = None) -> Mat:
     return canonical_rows(rref_ints(kernel_ints(rref_ints(rows), width)))
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], width: int | None = None) -> Vec | None:
-    """One exact solution of M x = b with free variables set to zero.
+def solve_ints(rows: Sequence[Sequence[int]], width: int) -> tuple[list[int], int] | None:
+    """One solution of M x = b from the integer rows [M | b], M of ``width``
+    columns, as (integers, denominator); None when it is inconsistent.
 
-    Returns None when the system is inconsistent.  The free-variable
-    convention makes every solver-backed construction deterministic.  In
-    reduced echelon form every non-pivot coefficient multiplies a free
-    variable, so each pivot variable equals its reduced right-hand side.
+    Free variables are zero, which makes every solver-backed construction
+    deterministic: in reduced echelon form each pivot variable is then its
+    row's last entry over its pivot entry.  A pivot in the last column is
+    an equation 0 = c with c nonzero.
     """
+    if any(len(r) != width + 1 for r in rows):
+        raise DimensionMismatch(f"augmented rows must have length {width + 1}")
+    pivot_rows = rref_ints(rows)
+    if pivot_rows and pivot_rows[-1][0] == width:
+        return None
+    den = math.lcm(*(r[c] for c, r in pivot_rows))
+    x = [0] * width
+    for c, r in pivot_rows:
+        x[c] = r[width] * (den // r[c])
+    return x, den
+
+
+def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], width: int | None = None) -> Vec | None:
+    """One exact solution of M x = b with free variables set to zero, or None
+    when the system is inconsistent: ``solve_ints`` on the scaled rows."""
     if len(rows) != len(rhs):
         raise DimensionMismatch("rhs length does not match row count")
-    if not rows:
-        if width is None:
-            raise DimensionMismatch("solving an empty system needs an explicit width")
-        return zero_vec(width)
-    ncols = len(rows[0])
-    aug = rref([tuple(vec(r)) + (Fraction(b),) for r, b in zip(rows, rhs)])
-    x = [ZERO] * ncols
-    for row in aug:
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            if row[ncols] != 0:
-                return None
-        else:
-            x[lead] = row[ncols]
-    return tuple(x)
+    if rows:
+        width = len(rows[0])
+    elif width is None:
+        raise DimensionMismatch("solving an empty system needs an explicit width")
+    solution = solve_ints([scaled_ints(vec(tuple(r) + (b,)))[0] for r, b in zip(rows, rhs)], width)
+    return None if solution is None else over(*solution)
 
 
 # ---------------------------------------------------------------------------

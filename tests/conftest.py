@@ -4,10 +4,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from cartankit.catalog import algebra_from_dict, bundled_fixtures, load_algebra
 
 LADDER = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+
+# The same Hypothesis examples on every run: draws are seeded from each
+# test, and no example database replays earlier failures.  Tests keep
+# their own max_examples and deadline.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from cartankit import linalg
-from cartankit.algebra import LieAlgebra, Subalgebra, Subspace, killing_form, per_algebra
+from cartankit.algebra import LieAlgebra, Subalgebra, Subspace, bracket_span, killing_form, per_algebra
 from cartankit.catalog import load_bundled
-from cartankit.errors import InternalInconsistency, NotClosed
+from cartankit.errors import InternalInconsistency, LiftFailure, NotClosed
 from cartankit.levi import induced_algebra, levi_decomposition
 from cartankit.radicals import is_semisimple, radical
 
@@ -133,6 +133,27 @@ def test_levi_of_gl3_is_trace_zero(ladder_algebra):
     assert levi_decomposition(g).levi.matrix == Subspace(g, trace_zero).matrix
 
 
+@pytest.mark.parametrize("spec", ["gl3", "gl4"])
+def test_reductive_levi_part_is_the_derived_algebra(ladder_algebra, spec):
+    # gl_n is reductive: its radical is the centre and its Levi part [g, g]
+    g = ladder_algebra(spec, 0)
+    assert levi_decomposition(g).levi.matrix == bracket_span(g.whole(), g.whole()).matrix
+
+
+def test_inconsistent_correction_raises_lift_failure(monkeypatch):
+    g = load_bundled("sl2xheis")  # a fresh instance: nothing memoized
+    calls = []
+
+    def inconsistent(rows, width):
+        calls.append(width)
+        return None
+
+    monkeypatch.setattr(linalg, "solve_ints", inconsistent)
+    with pytest.raises(LiftFailure, match="inconsistent"):
+        levi_decomposition(g)
+    assert calls
+
+
 # closed-form (Levi, radical) dimensions: dim sl_n = n^2 - 1, and b3 (dim 6)
 # and h5 (dim 5) are solvable
 LADDER_LEVI_DIMS = {"sl2+b3": (3, 6), "sl2+h5": (3, 5), "sl3+h5": (8, 5)}
@@ -140,8 +161,8 @@ LADDER_LEVI_DIMS = {"sl2+b3": (3, 6), "sl2+h5": (3, 5), "sl3+h5": (8, 5)}
 
 @pytest.mark.parametrize(
     "spec, seed",
-    [("sl2+b3", None), ("sl3+h5", None), ("sl2+b3", 0), ("sl2+h5", 0)],
-    ids=["sl2+b3", "sl3+h5", "sl2+b3-rebased", "sl2+h5-rebased"],
+    [("sl2+b3", None), ("sl3+h5", None), ("sl2+b3", 0), ("sl2+h5", 0), ("sl3+h5", 0)],
+    ids=["sl2+b3", "sl3+h5", "sl2+b3-rebased", "sl2+h5-rebased", "sl3+h5-rebased"],
 )
 def test_ladder_levi_closed_form(ladder_algebra, spec, seed):
     g = ladder_algebra(spec, seed)

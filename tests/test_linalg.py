@@ -331,8 +331,22 @@ def probe_vectors(rng, rows, width):
     return probes
 
 
+def fraction_solve(rows, rhs, width=None):
+    """Free variables zero, read off ``fraction_rref`` of the augmented rows."""
+    if not rows:
+        return linalg.zero_vec(width)
+    ncols = len(rows[0])
+    x = [F(0)] * ncols
+    for row in fraction_rref([tuple(r) + (b,) for r, b in zip(rows, rhs)]):
+        lead = next(j for j, e in enumerate(row) if e != 0)
+        if lead == ncols:
+            return None
+        x[lead] = row[ncols]
+    return tuple(x)
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_integer_core_matches_fraction_oracle(seed, monkeypatch):
+def test_integer_core_matches_fraction_oracle(seed):
     rng = random.Random(seed)
     for shape in ORACLE_SHAPES:
         m = oracle_matrix(rng, *shape)
@@ -346,11 +360,37 @@ def test_integer_core_matches_fraction_oracle(seed, monkeypatch):
             assert_reductions_match(v, canonical)
         assert linalg.kernel(m) == fraction_kernel(m)
         got = (linalg.solve(m, rhs), linalg.solve(m, consistent))
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "rref", fraction_rref)
-            want = (linalg.solve(m, rhs), linalg.solve(m, consistent))
-        assert got == want
+        assert got == (fraction_solve(m, rhs), fraction_solve(m, consistent))
         assert got[1] is not None
+
+
+def test_solve_matches_fraction_oracle_on_edge_cases():
+    cases = [
+        ([[1, 1], [2, 2]], [1, 3], None),  # inconsistent
+        ([[0, 0, 0]], [F(1, 2)], None),  # 0 = 1/2
+        ([[0, 0, 0]], [0], None),
+        ([[F(1, 3), 0, 2], [0, 0, 1], [F(2, 3), 0, 5]], [1, F(-1, 7), F(13, 7)], None),
+        ([], [], 4),  # empty: the width gives the length
+        ([], [], 0),
+        ([[F(2, 3)]], [F(-5, 2)], None),
+    ]
+    for rows, rhs, width in cases:
+        assert linalg.solve(rows, rhs, width) == fraction_solve(rows, rhs, width)
+    with pytest.raises(DimensionMismatch):
+        linalg.solve([], [])
+    with pytest.raises(DimensionMismatch):
+        linalg.solve([[1, 2]], [1, 2])
+
+
+def test_solve_ints_is_solve_in_integers():
+    # 2x + 4y = 3 and z = -1: y is free, x = 3/2, z = -1
+    assert linalg.solve_ints([[2, 4, 0, 3], [0, 0, 5, -5]], 3) == ([3, 0, -2], 2)
+    assert linalg.solve_ints([[1, 1, 1], [2, 2, 3]], 2) is None
+    assert linalg.solve_ints([], 3) == ([0, 0, 0], 1)
+    assert linalg.solve_ints([[0, 0, 0]], 2) == ([0, 0], 1)
+    for bad in ([[1, 2]], [[1, 2, 3], [1, 2]]):
+        with pytest.raises(DimensionMismatch):
+            linalg.solve_ints(bad, 2)
 
 
 def test_integer_core_matches_fraction_oracle_60x40():
