@@ -1,10 +1,10 @@
 """Structure-constant Lie algebras over exact rationals.
 
 An algebra is given by sparse constants c^k_{ij} for i < j; the (j, i) side
-is derived, so antisymmetry cannot be broken by construction.  Subspaces are
-canonicalized to reduced row echelon form the moment they are built, and all
-equality is syntactic equality of canonical forms.  Every object is an
-immutable value after construction.
+is derived, so antisymmetry cannot be broken by construction.  A subspace is
+its canonical integer echelon form, built the moment the subspace is, and all
+equality is syntactic equality of those forms; its ``Fraction`` rows are a
+view.  Every object is an immutable value after construction.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class LieAlgebra:
 
     @per_algebra
     def whole(self) -> "Subalgebra":
-        return Subalgebra._trusted(self, linalg.identity(self.dim))
+        return Subalgebra._from_ints(self, [[int(i == j) for j in range(self.dim)] for i in range(self.dim)])
 
     def zero_subspace(self) -> "Subspace":
         return Subspace(self, ())
@@ -217,40 +217,56 @@ class LieAlgebra:
 
 
 class Subspace:
-    """A linear subspace in canonical (reduced echelon) form.
+    """A linear subspace, identified by its canonical integer echelon form.
 
-    ``matrix`` holds the canonical rows as ``Fraction`` tuples, ``_echelon``
-    the same rows as primitive integers (``linalg.echelon_form``).
-    Membership, residuals, coordinates, bracket spans and conditions work
-    on ``_echelon`` in Python ints.
+    ``_echelon`` (``linalg.EchelonForm``: primitive rows, positive at their
+    pivots) is the whole state; equality, membership, residuals and bracket
+    spans work on it in Python ints.  ``matrix``, the canonical ``Fraction``
+    rows, is a view built on first use.  ``Subspace(g, rows)`` converts
+    rational rows and ``_from_ints`` integer rows; a subspace passed as
+    ``rows`` is retyped with no elimination, running only the class's check.
     """
 
-    def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence]):
+    def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence] | Subspace):
         self.ambient = ambient
+        if isinstance(rows, Subspace):
+            self._require_same_ambient(rows)
+            self._echelon = rows._echelon
+            return
         rows = [linalg.vec(r) for r in rows]
         for r in rows:
             if len(r) != ambient.dim:
                 raise DimensionMismatch(f"subspace row of length {len(r)} in ambient of dim {ambient.dim}")
-        self.matrix: Mat = linalg.rref(rows)
+        self.matrix = linalg.rref(rows)
+        # a canonical row over the lcm d of its denominators is primitive, and d sits first at its pivot
+        self._echelon = linalg.echelon_form([(r.index(d), r) for r, d in map(linalg.scaled_ints, self.matrix)])
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._echelon)
 
     @classmethod
     def _from_ints(cls, ambient: LieAlgebra, rows: Iterable[Sequence[int]]) -> "Subspace":
-        pivot_rows = linalg.rref_ints(rows)
+        """The span of integer rows, with no check of the subclass."""
         obj = cls.__new__(cls)
         obj.ambient = ambient
-        obj.matrix = linalg.canonical_rows(pivot_rows)
-        obj._echelon = linalg.echelon_form(pivot_rows)
+        obj._echelon = linalg.echelon_form(linalg.rref_ints(rows))
         return obj
 
+    def _rows_ints(self) -> list[list[int]]:
+        """The integer echelon rows, dense."""
+        rows = []
+        for _, pairs, _ in self._echelon:
+            row = [0] * self.ambient.dim
+            for j, x in pairs:
+                row[j] = x
+            rows.append(row)
+        return rows
+
     @functools.cached_property
-    def _echelon(self) -> linalg.EchelonForm:
-        # a canonical row over the lcm of its denominators is primitive
-        pivots = linalg.pivot_columns(self.matrix)
-        return linalg.echelon_form([(p, linalg.scaled_ints(r)[0]) for p, r in zip(pivots, self.matrix)])
+    def matrix(self) -> Mat:
+        """The canonical rows: each integer row over its pivot entry."""
+        return tuple(linalg.over(r, a) for r, (_, _, a) in zip(self._rows_ints(), self._echelon))
 
     def _fit(self, v: Sequence) -> Vec:
         if len(v) != self.ambient.dim:
@@ -264,7 +280,8 @@ class Subspace:
         return self._contains_ints(linalg.scaled_ints(self._fit(v))[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.matrix)
+        self._require_same_ambient(other)
+        return all(self._contains_ints(r) for r in other._rows_ints())
 
     def residual(self, v: Sequence) -> Vec:
         return linalg.over(*linalg.reduce_ints(*linalg.scaled_ints(self._fit(v)), self._echelon))
@@ -276,7 +293,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
-        return Subspace(self.ambient, self.matrix + other.matrix)
+        return Subspace._from_ints(self.ambient, self._rows_ints() + other._rows_ints())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
@@ -294,11 +311,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.matrix == other.matrix
+            and self._echelon == other._echelon
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.matrix))
+        return hash((self.ambient, self._echelon))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim} of {self.ambient.dim})"
@@ -307,7 +324,7 @@ class Subspace:
 class Subalgebra(Subspace):
     """A subspace closed under the bracket."""
 
-    def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence]):
+    def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence] | Subspace):
         super().__init__(ambient, rows)
         # antisymmetry handles the diagonal and the transposed pairs; the
         # integer rows are positive multiples of the canonical ones
@@ -318,18 +335,11 @@ class Subalgebra(Subspace):
                     a, b = self.matrix[i], self.matrix[j]
                     raise NotClosed(f"bracket of basis rows leaves the span: [{a}, {b}] = {ambient.bracket(a, b)}")
 
-    @classmethod
-    def _trusted(cls, ambient: LieAlgebra, rows: Iterable[Sequence]):
-        """Skip the closure sweep for spans that are closed by construction."""
-        obj = cls.__new__(cls)
-        Subspace.__init__(obj, ambient, rows)
-        return obj
-
 
 class Ideal(Subalgebra):
     """A subalgebra stable under bracketing with the whole algebra."""
 
-    def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence]):
+    def __init__(self, ambient: LieAlgebra, rows: Iterable[Sequence] | Subspace):
         Subspace.__init__(self, ambient, rows)
         escape = _escaping_bracket(self)
         if escape:
@@ -359,34 +369,35 @@ class Subquotient:
         self.upper = upper
         self.lower = lower
         # modulo 0 the residuals are U's canonical rows themselves
-        self.basis = Subspace(upper.ambient, [lower.residual(u) for u in upper.matrix]) if lower.dim else upper
+        self.basis = upper
+        if lower.dim:
+            residuals = [linalg.reduce_ints(u, 1, lower._echelon)[0] for u in upper._rows_ints()]
+            self.basis = Subspace._from_ints(upper.ambient, residuals)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
-    def _push_ints(self, v: Sequence[int]) -> tuple[list[int], int] | None:
+    def _push_ints(self, v: Sequence[int]) -> tuple[list[int], int]:
         """Coordinates of v + L as (integers, scale): the residual's entries at
-        the pivots of ``basis``; None when the residual is outside ``basis``."""
+        the pivots of ``basis``.
+
+        The pushes and ``operator`` take vectors of U + L by construction, so
+        a vector outside signals a bug and raises InternalInconsistency.
+        """
         res, s = linalg.reduce_ints(v, 1, self.lower._echelon)
         if not self.basis._contains_ints(res):
-            return None
+            raise InternalInconsistency("vector lies outside the subquotient")
         return [res[p] for p, _, _ in self.basis._echelon], s
 
     def push_vector(self, v: Sequence) -> Vec:
-        """Coordinates of v + L over ``basis``.
-
-        Every caller pushes vectors that lie in U + L by construction, so a
-        vector outside signals a bug and raises InternalInconsistency.
-        """
+        """Coordinates of v + L over ``basis``."""
         ints, d = linalg.scaled_ints(self.lower._fit(v))
-        pushed = self._push_ints(ints)
-        if pushed is None:
-            raise InternalInconsistency("vector lies outside the subquotient")
-        return linalg.over(pushed[0], pushed[1] * d)
+        pushed, s = self._push_ints(ints)
+        return linalg.over(pushed, s * d)
 
     def push_subspace(self, sub: Subspace) -> Subspace:
-        return Subspace(self.target, [self.push_vector(r) for r in sub.matrix])
+        return Subspace._from_ints(self.target, [self._push_ints(r)[0] for r in sub._rows_ints()])
 
     def lift_vector(self, v: Sequence) -> Vec:
         """The element sum_t v_t b_t of U, for coordinates v over ``basis``."""
@@ -398,8 +409,7 @@ class Subquotient:
 
     def preimage_subspace(self, sub: Subspace) -> Subspace:
         """The full preimage of a subspace of the target: its lift plus L."""
-        rows = [self.lift_vector(r) for r in sub.matrix]
-        return Subspace(self.upper.ambient, rows + list(self.lower.matrix))
+        return Subspace(self.upper.ambient, [self.lift_vector(r) for r in sub.matrix]).sum(self.lower)
 
     def operator(self, x: Sequence) -> Mat:
         """Matrix of ad x on U/L: column t holds the coordinates of [x, b_t]."""
@@ -407,10 +417,8 @@ class Subquotient:
         (xs,), dx = linalg.integer_rows((self.lower._fit(x),))
         cols = []
         for _, r, a in self.basis._echelon:
-            pushed = self._push_ints(g._bracket_ints(xs, r))
-            if pushed is None:
-                raise InternalInconsistency("vector lies outside the subquotient")
-            cols.append(linalg.over(pushed[0], pushed[1] * g._d * dx * a))  # b_t = r / a
+            pushed, s = self._push_ints(g._bracket_ints(xs, r))
+            cols.append(linalg.over(pushed, s * g._d * dx * a))  # b_t = r / a
         return linalg.transpose(tuple(cols))
 
     @functools.cached_property
@@ -427,11 +435,11 @@ class Subquotient:
         for i, (_, x, a) in enumerate(rows):
             for j in range(i + 1, len(rows)):
                 _, y, b = rows[j]
-                pushed = self._push_ints(g._bracket_ints(x, y))
-                if pushed is None:
-                    raise NotClosed(f"bracket of basis rows {i},{j} leaves the subquotient")
-                den = pushed[1] * g._d * a * b
-                entry = {k: Fraction(c, den) for k, c in enumerate(pushed[0]) if c}
+                try:
+                    pushed, s = self._push_ints(g._bracket_ints(x, y))
+                except InternalInconsistency:
+                    raise NotClosed(f"bracket of basis rows {i},{j} leaves the subquotient") from None
+                entry = {k: Fraction(c, s * g._d * a * b) for k, c in enumerate(pushed) if c}
                 if entry:
                     constants[(i, j)] = entry
         labels = [g.basis_labels[p] for p, _, _ in rows]
@@ -443,8 +451,8 @@ def subalgebra_closure(ambient: LieAlgebra, vectors: Iterable[Sequence]) -> Suba
     current = Subspace(ambient, vectors)
     while True:
         bigger = current.sum(bracket_span(current, current))
-        if bigger.matrix == current.matrix:
-            return Subalgebra(ambient, current.matrix)
+        if bigger == current:
+            return Subalgebra(ambient, current)
         current = bigger
 
 
@@ -497,19 +505,19 @@ def centralizer(sub: Subspace) -> Subspace:
 
 def lower_central_series(sub: Subspace) -> list[Subspace]:
     """A = A^1 >= A^2 = [A, A^1] >= ... until stabilization."""
-    series = [Subspace(sub.ambient, sub.matrix)]
+    series = [sub]
     while True:
         nxt = bracket_span(sub, series[-1])
-        if nxt.matrix == series[-1].matrix:
+        if nxt == series[-1]:
             return series
         series.append(nxt)
 
 
 def derived_series(sub: Subspace) -> list[Subspace]:
-    series = [Subspace(sub.ambient, sub.matrix)]
+    series = [sub]
     while True:
         nxt = bracket_span(series[-1], series[-1])
-        if nxt.matrix == series[-1].matrix:
+        if nxt == series[-1]:
             return series
         series.append(nxt)
 

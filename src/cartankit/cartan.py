@@ -57,10 +57,10 @@ class CartanResult:
 
 def is_cartan_subalgebra(h: Subspace) -> bool:
     """Nilpotent and self-normalizing."""
-    sub = h if isinstance(h, Subalgebra) else Subalgebra(h.ambient, h.matrix)
+    sub = h if isinstance(h, Subalgebra) else Subalgebra(h.ambient, h)
     if not is_nilpotent(sub):
         return False
-    return normalizer(sub).matrix == sub.matrix
+    return normalizer(sub) == sub
 
 
 def fitting_null(k: Subspace, x) -> Subspace:
@@ -122,7 +122,7 @@ def fitting_null_recursion(k: Subalgebra) -> CartanResult:
             raise InternalInconsistency(
                 f"no row or pairwise sum acts non-nilpotently on a non-nilpotent subalgebra of dim {current.dim}"
             )
-    csa = Subalgebra(k.ambient, chain[-1].matrix)
+    csa = Subalgebra(k.ambient, chain[-1])
     return CartanResult(csa=csa, method=CsaMethod.REGULAR_ELEMENT, trace=tuple(chain))
 
 
@@ -160,27 +160,27 @@ def normalizer_chain_csa(g: LieAlgebra, start: Subspace | None = None) -> Cartan
     nil = nilradical(g)
     if start is None:
         start = regular_element_csa(g).csa
-    current = start if isinstance(start, Subalgebra) else Subalgebra(g, start.matrix)
+    current = start if isinstance(start, Subalgebra) else Subalgebra(g, start)
     if not is_nilpotent(current):
         raise HypothesisViolated("starting subalgebra is not nilpotent")
     if current.sum(nil).dim != g.dim:
         raise HypothesisViolated("starting subalgebra does not complement the nilradical")
-    trace = [Subspace(g, current.matrix)]
+    trace = [current]
     while True:
         bigger = normalizer(current)
-        if bigger.matrix == current.matrix:
+        if bigger == current:
             break
         if not bigger.contains_subspace(current):
             raise InternalInconsistency("normalizer chain failed to grow monotonically")
         try:
-            current = Subalgebra(g, bigger.matrix)
+            current = Subalgebra(g, bigger)
         except NotClosed as exc:
             raise InternalInconsistency(f"normalizer iterate is not a subalgebra: {exc}") from exc
         if not is_nilpotent(current):
             raise NonNilpotentIterate(
                 f"normalizer chain iterate of dim {current.dim} is not nilpotent"
             )
-        trace.append(Subspace(g, current.matrix))
+        trace.append(current)
     if not is_cartan_subalgebra(current):
         raise InternalInconsistency("normalizer chain limit fails the Cartan axioms")
     return CartanResult(csa=current, method=CsaMethod.NORMALIZER_CHAIN, trace=tuple(trace))
@@ -191,7 +191,7 @@ def centralizer_in_radical(h_levi: Subspace, decomp: LeviDecomposition) -> Subal
     if not decomp.levi.contains_subspace(h_levi):
         raise HypothesisViolated("subalgebra is not contained in the Levi part")
     section = centralizer(h_levi).intersect(decomp.radical)
-    return Subalgebra(section.ambient, section.matrix)
+    return Subalgebra(section.ambient, section)
 
 
 @per_algebra
@@ -215,13 +215,7 @@ def composite_csa(g: LieAlgebra) -> CartanResult:
     h_section = fitting_null_recursion(section).csa
     if h_levi.intersect(h_section).dim != 0:
         raise InternalInconsistency("composite parts are not complementary")
-    joined = Subalgebra(g, h_levi.sum(h_section).matrix)
+    joined = Subalgebra(g, h_levi.sum(h_section))
     if not is_cartan_subalgebra(joined):
         raise InternalInconsistency("composite construction fails the Cartan axioms")
-    trace = (
-        Subspace(g, h_levi.matrix),
-        Subspace(g, section.matrix),
-        Subspace(g, h_section.matrix),
-        Subspace(g, joined.matrix),
-    )
-    return CartanResult(csa=joined, method=CsaMethod.COMPOSITE, trace=trace)
+    return CartanResult(csa=joined, method=CsaMethod.COMPOSITE, trace=(h_levi, section, h_section, joined))

@@ -246,7 +246,7 @@ def quotient(path: str, ideal_spec: str, as_json: bool, skip_jacobi: bool) -> No
             "quotient_brackets": constants,
             "pushed_cartan": [format_vector(r) for r in pushed.matrix],
             "lifted_cartan": [format_vector(r) for r in lifted.matrix],
-            "roundtrip_exact": q.push_subspace(lifted).matrix == pushed.matrix,
+            "roundtrip_exact": q.push_subspace(lifted) == pushed,
         }
         _echo(json.dumps(payload, indent=2, sort_keys=True))
         return
@@ -256,7 +256,7 @@ def quotient(path: str, ideal_spec: str, as_json: bool, skip_jacobi: bool) -> No
         f"pushed cartan: dim {pushed.dim}, basis [{', '.join(_subspace_labels(q.target, pushed))}]"
     )
     _echo(f"lifted cartan: dim {lifted.dim}, basis [{', '.join(_subspace_labels(g, lifted))}]")
-    _echo(f"roundtrip exact: {str(q.push_subspace(lifted).matrix == pushed.matrix).lower()}")
+    _echo(f"roundtrip exact: {str(q.push_subspace(lifted) == pushed).lower()}")
 
 
 @main.command()

@@ -93,7 +93,7 @@ def _complement_rows(g: LieAlgebra, rad: Subspace) -> Mat:
     the pivot columns nor the solution with free variables zero.
     """
     quotient = Subquotient(g.whole(), rad)
-    rows = [linalg.scaled_ints(r)[0] for r in quotient.basis.matrix]  # unit rows
+    rows = quotient.basis._rows_ints()  # unit rows
     scale = 1  # the complement rows are rows[t] / scale
     n = len(rows)
     series = derived_series(rad)

@@ -124,13 +124,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
-def apply_mat(m: Mat, v: Sequence[Fraction]) -> Vec:
-    """Apply an out x in matrix to a length-in coordinate vector."""
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatch(f"matrix of width {len(m[0])} applied to vector of length {len(v)}")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
 def mat_pow(m: Mat, k: int) -> Mat:
     n = len(m)
     out = identity(n)

@@ -25,7 +25,7 @@ from .errors import (
 def quotient_algebra(g: LieAlgebra, ideal: Ideal | Subspace) -> Subquotient:
     """Quotient by an ideal: push, lift and the induced constants, checked."""
     if not isinstance(ideal, Ideal):
-        ideal = Ideal(g, ideal.matrix)  # raises NotIdeal when unstable
+        ideal = Ideal(g, ideal)  # raises NotIdeal when unstable
     q = Subquotient(g.whole(), ideal)
     _verify_quotient(q)
     return q
@@ -54,7 +54,7 @@ def push_cartan(h: Subspace, q: Subquotient) -> Subalgebra:
     if not is_cartan_subalgebra(h):
         raise NotCartan("push_cartan requires a Cartan subalgebra of the source")
     image = q.push_subspace(h)
-    out = Subalgebra(q.target, image.matrix)
+    out = Subalgebra(q.target, image)
     if not is_cartan_subalgebra(out):
         raise PostconditionFailure("pushed image fails the Cartan axioms in the quotient")
     return out
@@ -73,9 +73,9 @@ def lift_cartan(h_target: Subspace, q: Subquotient) -> Subalgebra:
         raise DimensionMismatch("subalgebra does not live in the quotient target")
     if not is_cartan_subalgebra(h_target):
         raise NotCartan("lift_cartan requires a Cartan subalgebra of the quotient")
-    preimage = Subalgebra(q.upper.ambient, q.preimage_subspace(h_target).matrix)
+    preimage = Subalgebra(q.upper.ambient, q.preimage_subspace(h_target))
     lifted = fitting_null_recursion(preimage).csa
-    if q.push_subspace(lifted).matrix != linalg.rref(h_target.matrix):
+    if q.push_subspace(lifted) != h_target:
         raise PostconditionFailure("lifted Cartan subalgebra does not project onto the input")
     if not is_cartan_subalgebra(lifted):
         raise PostconditionFailure("lifted subalgebra fails the Cartan axioms in the source")

@@ -29,7 +29,7 @@ from .algebra import (
     per_algebra,
 )
 from .errors import InternalInconsistency, NotIdeal
-from .linalg import Mat, Vec
+from .linalg import EchelonForm, Vec
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,16 @@ class RadicalPair:
 def radical(g: LieAlgebra) -> Ideal:
     """Largest solvable ideal: {x : k(x, [g,g]) = 0} in characteristic 0."""
     derived = bracket_span(g.whole(), g.whole())
-    form = killing_form(g)
-    conditions = [linalg.apply_mat(form, d) for d in derived.matrix]
-    rows = linalg.kernel(conditions, width=g.dim)
+    # k(e_i, d) for each integer row d of [g, g]: the form is symmetric, so
+    # the condition is sum_j d_j k(e_j, -), over one integer scaling of k
+    form, _ = linalg.integer_rows(killing_form(g))
+    conditions = [[0] * g.dim for _ in derived._echelon]
+    for row, (_, pairs, _) in zip(conditions, derived._echelon):
+        for j, x in pairs:
+            for i, k in form[j]:
+                row[i] += x * k
     try:
-        out = Ideal(g, rows)
+        out = Ideal(g, linalg.kernel(conditions, width=g.dim))
     except NotIdeal as exc:
         raise InternalInconsistency(f"computed radical is not an ideal: {exc}") from exc
     if not is_solvable(out):
@@ -79,7 +84,7 @@ def _nilradical_layered(g: LieAlgebra, rad: Ideal) -> Subspace:
     series = [j]
     while series[-1].dim:
         nxt = bracket_span(j, series[-1])
-        if nxt.matrix == series[-1].matrix:
+        if nxt == series[-1]:
             raise InternalInconsistency("[g, rad] is not nilpotent")  # impossible in char 0
         series.append(nxt)
 
@@ -120,7 +125,7 @@ def nilradical(g: LieAlgebra) -> Ideal:
     candidate = _nilradical_layered(g, rad)
     if not _verify_nilradical(g, rad, candidate):
         raise InternalInconsistency("layered nilradical failed verification")
-    return Ideal(g, candidate.matrix)
+    return Ideal(g, candidate)
 
 
 def radical_pair(g: LieAlgebra) -> RadicalPair:
@@ -152,7 +157,7 @@ def ideal_closure(g: LieAlgebra, rows) -> Subspace:
     current = Subspace(g, rows)
     while True:
         bigger = current.sum(bracket_span(g.whole(), current))
-        if bigger.matrix == current.matrix:
+        if bigger == current:
             return current
         current = bigger
 
@@ -167,23 +172,23 @@ def enumerate_ideal_candidates(g: LieAlgebra) -> list[Subspace]:
     it is closed under joins with the principal ideals; a frontier loop of
     new members times principal ideals reaches that.
     """
-    principal: dict[Mat, Subspace] = {}
+    principal: dict[EchelonForm, Subspace] = {}
     for v in candidate_vector_pool(g):
         closed = ideal_closure(g, [v])
-        principal.setdefault(closed.matrix, closed)
-    seen: dict[Mat, Subspace] = {(): Subspace(g, ())}
+        principal.setdefault(closed._echelon, closed)
+    seen: dict[EchelonForm, Subspace] = {(): Subspace(g, ())}
     seen.update(principal)
     frontier = list(principal.values())
     while frontier:
-        joins: dict[Mat, Subspace] = {}
+        joins: dict[EchelonForm, Subspace] = {}
         for a in frontier:
             for b in principal.values():
                 joined = a.sum(b)
-                if joined.matrix not in seen:
-                    joins.setdefault(joined.matrix, joined)
+                if joined._echelon not in seen:
+                    joins.setdefault(joined._echelon, joined)
         seen.update(joins)
         frontier = list(joins.values())
-    return [seen[m] for m in sorted(seen)]
+    return sorted(seen.values(), key=lambda s: s.matrix)
 
 
 def _unique_max(candidates: list[Subspace], kind: str) -> Subspace:

@@ -147,13 +147,13 @@ class _FixtureContext:
         seen: dict = {(): self.g.zero_subalgebra()}
         for v in vectors:
             sub = subalgebra_closure(self.g, [v])
-            seen.setdefault(sub.matrix, sub)
+            seen.setdefault(sub._echelon, sub)
         for a, b in itertools.combinations(vectors[: self.g.dim + 4], 2):
             if len(seen) >= POOL_LIMIT:
                 break
             sub = subalgebra_closure(self.g, [a, b])
-            seen.setdefault(sub.matrix, sub)
-        return [seen[m] for m in sorted(seen)]
+            seen.setdefault(sub._echelon, sub)
+        return sorted(seen.values(), key=lambda s: s.matrix)
 
     @cached_property
     def levi_frame(self) -> Subquotient:
@@ -224,7 +224,7 @@ def _check_canonical_form(ctx: _FixtureContext):
         if len(rows) > 1:
             scrambled[0] = linalg.vec_add(scrambled[0], rows[-1])
         rebuilt = Subspace(g, scrambled)
-        if rebuilt.matrix != sub.matrix:
+        if rebuilt != sub:
             return {
                 "original": _matrix_to_strings(sub.matrix),
                 "rebuilt": _matrix_to_strings(rebuilt.matrix),
@@ -247,7 +247,7 @@ def _check_killing_invariance(ctx: _FixtureContext):
 def _check_bruteforce_radical(ctx: _FixtureContext):
     oracle = bruteforce_max_solvable_ideal(ctx.g, ctx.ideal_candidates)
     rad = radical(ctx.g)
-    if oracle.matrix != rad.matrix:
+    if oracle != rad:
         return {
             "radical": _matrix_to_strings(rad.matrix),
             "bruteforce": _matrix_to_strings(oracle.matrix),
@@ -258,7 +258,7 @@ def _check_bruteforce_radical(ctx: _FixtureContext):
 def _check_bruteforce_nilradical(ctx: _FixtureContext):
     oracle = bruteforce_max_nilpotent_ideal(ctx.g, ctx.ideal_candidates)
     nil = nilradical(ctx.g)
-    if oracle.matrix != nil.matrix:
+    if oracle != nil:
         return {
             "nilradical": _matrix_to_strings(nil.matrix),
             "bruteforce": _matrix_to_strings(oracle.matrix),
@@ -294,7 +294,7 @@ def _check_levi_split(ctx: _FixtureContext):
         return _subspace_witness("intersection", decomp.levi.intersect(decomp.radical))
     if decomp.levi.dim and not is_semisimple(ctx.levi_frame.target):
         return _subspace_witness("levi", decomp.levi)
-    if decomp.radical.matrix != radical(ctx.g).matrix:
+    if decomp.radical != radical(ctx.g):
         return _subspace_witness("radical", decomp.radical)
     return None
 
@@ -306,7 +306,7 @@ def _check_levi_roundtrip(ctx: _FixtureContext):
     frame = ctx.levi_frame
     h_levi = composite_csa(ctx.g).trace[0]
     back = frame.preimage_subspace(frame.push_subspace(h_levi))
-    if back.matrix != h_levi.matrix:
+    if back != h_levi:
         return {
             "inner": _matrix_to_strings(h_levi.matrix),
             "roundtrip": _matrix_to_strings(back.matrix),
@@ -317,7 +317,7 @@ def _check_levi_roundtrip(ctx: _FixtureContext):
 def _cartan_axiom_witness(result: CartanResult):
     if not is_cartan_subalgebra(result.csa):
         return _subspace_witness("csa", result.csa)
-    if not result.trace or result.trace[-1].matrix != result.csa.matrix:
+    if not result.trace or result.trace[-1] != result.csa:
         return {"trace_length": len(result.trace)}
     return None
 
@@ -345,7 +345,7 @@ def _check_chain_recipe(ctx: _FixtureContext):
             if later.dim <= earlier.dim or not later.contains_subspace(earlier):
                 return {"start": label, "chain_dims": [s.dim for s in result.trace]}
         for step in result.trace:
-            if not is_nilpotent(Subalgebra(g, step.matrix)):
+            if not is_nilpotent(Subalgebra(g, step)):
                 return {"start": label, "non_nilpotent_dim": step.dim}
         if not result.csa.contains_subspace(start):
             return {"start": label, "missing_start": True}
@@ -372,7 +372,7 @@ def _check_maximal_nilpotent(ctx: _FixtureContext):
     pool = ctx.pool_subalgebras
     nilpotent_pool = [s for s in pool if is_nilpotent(s)]
     for sub in nilpotent_pool:
-        if normalizer(sub).matrix != sub.matrix:
+        if normalizer(sub) != sub:
             continue
         # a self-normalizing nilpotent subalgebra is a Cartan subalgebra:
         # nothing nilpotent in the pool may strictly contain it, and its
@@ -387,7 +387,7 @@ def _check_maximal_nilpotent(ctx: _FixtureContext):
 
 def _check_selfcentralizing(ctx: _FixtureContext):
     csa = regular_element_csa(ctx.g).csa
-    if centralizer(csa).matrix != csa.matrix:
+    if centralizer(csa) != csa:
         return _subspace_witness("centralizer", centralizer(csa))
     return None
 
@@ -395,12 +395,12 @@ def _check_selfcentralizing(ctx: _FixtureContext):
 def _check_decomposition_radical(ctx: _FixtureContext):
     rad, nil = radical(ctx.g), nilradical(ctx.g)
     _, z, hz, _ = composite_csa(ctx.g).trace
-    if z.sum(nil).matrix != rad.matrix:
+    if z.sum(nil) != rad:
         return {
             "z_plus_n": _matrix_to_strings(z.sum(nil).matrix),
             "radical": _matrix_to_strings(rad.matrix),
         }
-    if hz.sum(nil).matrix != rad.matrix:
+    if hz.sum(nil) != rad:
         return {
             "hz_plus_n": _matrix_to_strings(hz.sum(nil).matrix),
             "radical": _matrix_to_strings(rad.matrix),
@@ -412,8 +412,8 @@ def _check_nilpotent_radical_form(ctx: _FixtureContext):
     composite = composite_csa(ctx.g)
     h_levi = composite.trace[0]
     z_nil = centralizer(h_levi).intersect(nilradical(ctx.g))
-    expected = Subspace(ctx.g, h_levi.matrix + z_nil.matrix)
-    if composite.csa.matrix != expected.matrix:
+    expected = h_levi.sum(z_nil)
+    if composite.csa != expected:
         return {
             "composite": _matrix_to_strings(composite.csa.matrix),
             "hs_plus_zn": _matrix_to_strings(expected.matrix),
@@ -429,12 +429,12 @@ def _check_quotient_pairs(ctx: _FixtureContext):
         pushed = push_cartan(source_csa, q)  # raises on any axiom failure
         target_csa = regular_element_csa(q.target).csa
         lifted = lift_cartan(target_csa, q)
-        if q.push_subspace(lifted).matrix != target_csa.matrix:
+        if q.push_subspace(lifted) != target_csa:
             return {"ideal": label, "stage": "lift-projection"}
         if lifted.dim < target_csa.dim:
             return {"ideal": label, "stage": "rank-inequality"}
         again = push_cartan(lift_cartan(pushed, q), q)
-        if again.matrix != pushed.matrix:
+        if again != pushed:
             return {
                 "ideal": label,
                 "pushed": _matrix_to_strings(pushed.matrix),

@@ -410,7 +410,7 @@ def test_subspace_integer_form_matches_linalg_on_rebased_algebra(ladder_algebra,
         probes = list(basis) + [g.bracket(a, b) for a, b in itertools.combinations(basis[:4], 2)]
         for _ in range(3):
             coeffs = tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in sub.matrix)
-            inside = linalg.apply_mat(linalg.transpose(sub.matrix), coeffs) if coeffs else linalg.zero_vec(n)
+            inside = tuple(sum((c * r[k] for c, r in zip(coeffs, sub.matrix)), F(0)) for k in range(n))
             assert sub.coordinates(inside) == coeffs
             probes.append(inside)
         # the same rows in an abelian algebra: reduction sees only the rows
@@ -421,3 +421,53 @@ def test_subspace_integer_form_matches_linalg_on_rebased_algebra(ladder_algebra,
             assert sub.coordinates(v) == twin.coordinates(v)
         for other in subspaces:
             assert sub.contains_subspace(other) == all(twin.contains(r) for r in other.matrix)
+
+
+# ---------------------------------------------------------------------------
+# the integer echelon form is the identity of a subspace
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["sl2+b3", "gl3"])
+def test_rational_and_integer_rows_give_one_subspace(ladder_algebra, spec):
+    from test_linalg import fraction_rref
+
+    g = ladder_algebra(spec, 0)
+    rng = random.Random(spec)
+    for k in range(8):
+        rows = [random_rational_vector(rng, g.dim) for _ in range(k)]
+        if k > 2:
+            rows.append(linalg.vec_add(rows[0], linalg.vec_scale(F(-3, 7), rows[1])))  # dependent
+        ints = [linalg.scaled_ints(r)[0] for r in rows]
+        a, b = Subspace(g, rows), Subspace._from_ints(g, ints)
+        assert a == b and hash(a) == hash(b) and a.dim == min(k, g.dim)
+        assert "matrix" not in vars(b)  # built on first use
+        assert b.matrix == a.matrix == fraction_rref(rows)
+
+
+def test_retype_runs_no_elimination(sl2xheis, monkeypatch):
+    g = sl2xheis
+    derived = bracket_span(g.whole(), g.whole())
+    calls = []
+    rref_ints = linalg.rref_ints
+    monkeypatch.setattr(linalg, "rref_ints", lambda rows: calls.append(1) or rref_ints(rows))
+    retyped = [Subspace(g, derived), Subalgebra(g, derived), Ideal(g, derived)]
+    assert calls == []
+    assert [type(s) for s in retyped] == [Subspace, Subalgebra, Ideal]
+    assert all(s == derived for s in retyped)
+
+
+def test_retype_runs_the_class_check(sl2):
+    with pytest.raises(NotClosed):
+        Subalgebra(sl2, Subspace(sl2, [E, FV]))
+    with pytest.raises(NotIdeal):
+        Ideal(sl2, Subalgebra(sl2, [H]))
+    with pytest.raises(DimensionMismatch):
+        Subalgebra(LieAlgebra(2, {}), Subspace(sl2, [H]))
+
+
+def test_series_start_at_their_input(catalog):
+    for g in catalog.values():
+        sub = g.whole()
+        assert derived_series(sub)[0] is sub
+        assert lower_central_series(sub)[0] is sub

@@ -18,6 +18,7 @@ from cartankit.cartan import (
     centralizer_in_radical,
     composite_csa,
     fitting_null,
+    fitting_null_recursion,
     is_cartan_subalgebra,
     normalizer_chain_csa,
     rank,
@@ -25,6 +26,7 @@ from cartankit.cartan import (
 )
 from cartankit.errors import HypothesisViolated, NotSolvable
 from cartankit.levi import levi_decomposition
+from cartankit.radicals import radical
 
 H = (1, 0, 0)
 
@@ -74,7 +76,7 @@ def test_fitting_null_of_h(sl2):
     # grid oracle: the component is exactly the kernel of ad(h)^3
     power = linalg.mat_pow(sl2.ad(H), 3)
     for v in itertools.product(range(-2, 3), repeat=3):
-        inside = linalg.is_zero_vec(linalg.apply_mat(power, linalg.vec(v)))
+        inside = all(sum(x * y for x, y in zip(row, v)) == 0 for row in power)
         assert component.contains(v) == inside
 
 
@@ -323,6 +325,23 @@ def test_centralizer_in_radical_requires_levi_containment(sl2xr2):
 # ---------------------------------------------------------------------------
 # structural properties across the catalog
 # ---------------------------------------------------------------------------
+
+
+def test_cartan_subalgebras_of_torus_centralizers(catalog):
+    """For t in the radical with ad t semisimple and nonzero, span t is a
+    torus of the radical, and a Cartan subalgebra of its centralizer is one
+    of g: the Lie-algebra form of "Cartan subgroups are those of the
+    centralizer of a maximal compact subgroup of the radical"."""
+    covered = set()
+    for name, g in sorted(catalog.items()):
+        for t in radical(g).matrix:
+            ad = g.ad(t)
+            if linalg.is_zero_mat(ad) or linalg.semisimple_part(ad) != ad:
+                continue
+            h = fitting_null_recursion(Subalgebra(g, centralizer(Subspace(g, [t])))).csa
+            assert is_cartan_subalgebra(h) and h.dim == rank(g), name
+            covered.add(name)
+    assert covered >= {"aff1", "e2", "oscillator", "r3_0", "r3_1", "r3_half", "r3_m1"}
 
 
 def test_all_methods_agree_on_rank(catalog):
