@@ -309,6 +309,8 @@ def powermap(path: str, exponent: int, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def verify(paths: tuple[str, ...], run_all: bool, as_json: bool) -> None:
     """Run every invariant suite; nonzero exit iff any non-advisory check fails."""
+    if run_all and paths:
+        _fail(ValueError("--all verifies the bundled catalog and takes no paths"))
     try:
         if run_all:
             report = run_verification()

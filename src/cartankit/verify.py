@@ -3,17 +3,21 @@
 Each check has a stable id, a one-line statement of the identity it tests
 (the anchor), and produces a concrete witness on failure.  The JSON report
 is byte-deterministic: no timestamps, no environment data, stable ordering.
-Advisory checks report failures without affecting the exit status.  Every
-check is one row of a check table, run by one runner.
+Advisory checks report failures without affecting the exit status.  A check
+is declared once, by a decorator at its function that adds it to the table
+of its context (fixture, model instance, or model triples); one runner runs
+every table.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from . import linalg
@@ -71,6 +75,7 @@ from .radicals import (
     radical,
 )
 
+
 BRUTEFORCE_RADICAL_DIM = 5
 BRUTEFORCE_CARTAN_DIM = 4
 POOL_LIMIT = 30
@@ -80,8 +85,7 @@ POOL_LIMIT = 30
 class CheckResult:
     check_id: str
     anchor: str
-    passed: bool
-    advisory: bool
+    status: str  # "pass", "fail", or "reported" for a failed advisory check
     witness: dict | None
 
 
@@ -97,18 +101,12 @@ class VerificationReport:
 
     @property
     def summary(self) -> dict:
-        total = sum(len(f.results) for f in self.fixtures)
-        failed = sum(
-            1 for f in self.fixtures for r in f.results if not r.passed and not r.advisory
-        )
-        reported = sum(
-            1 for f in self.fixtures for r in f.results if not r.passed and r.advisory
-        )
+        counts = Counter(r.status for f in self.fixtures for r in f.results)
         return {
-            "checks": total,
-            "failed": failed,
-            "advisory_reported": reported,
-            "passed": total - failed - reported,
+            "checks": counts.total(),
+            "failed": counts["fail"],
+            "advisory_reported": counts["reported"],
+            "passed": counts["pass"],
         }
 
     @property
@@ -116,12 +114,50 @@ class VerificationReport:
         return self.summary["failed"] == 0
 
 
-def _matrix_to_strings(matrix) -> list[list[str]]:
-    return [[str(e) for e in row] for row in matrix]
+def _strings(rows) -> list[list[str]]:
+    return [[str(e) for e in row] for row in rows]
 
 
-def _subspace_witness(label: str, sub: Subspace) -> dict:
-    return {label: _matrix_to_strings(sub.matrix)}
+def _witness(**parts) -> dict:
+    """A failure witness: each subspace as its canonical rows, other values as given."""
+    return {k: _strings(v.matrix) if isinstance(v, Subspace) else v for k, v in parts.items()}
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A check that runs on the contexts of its table where ``applies``."""
+
+    check_id: str
+    anchor: str
+    fn: Callable
+    applies: Callable
+    advisory: bool
+
+
+def _check(table: list, check_id: str, anchor: str, applies: Callable = lambda ctx: True, advisory: bool = False):
+    """Declare the decorated ``fn(ctx)`` as a check of ``table``.
+
+    ``fn`` returns None on pass or a witness dict on failure.
+    """
+    def register(fn: Callable) -> Callable:
+        table.append(_Check(check_id, anchor, fn, applies, advisory))
+        return fn
+    return register
+
+
+def _run_checks(checks: list[_Check], ctx) -> tuple[CheckResult, ...]:
+    """Run every applicable check; a typed error, in ``applies`` or the check, is a failure with a witness."""
+    results = []
+    for check in checks:
+        try:
+            if not check.applies(ctx):
+                continue
+            witness = check.fn(ctx)
+        except CartanKitError as exc:
+            witness = {"error": f"{type(exc).__name__}: {exc}"}
+        status = "pass" if witness is None else "reported" if check.advisory else "fail"
+        results.append(CheckResult(check.check_id, check.anchor, status, witness))
+    return tuple(sorted(results, key=lambda r: r.check_id))
 
 
 class _FixtureContext:
@@ -129,6 +165,8 @@ class _FixtureContext:
 
     Invariants (radical, Levi decomposition, Cartan subalgebras, ...) are
     memoized on the algebra itself, so checks call those functions directly.
+    The matrix entries are built once; an entry that fails to build raises
+    its typed error in every check that reads it.
     """
 
     def __init__(self, name: str, algebra: LieAlgebra, matrix: dict):
@@ -160,28 +198,29 @@ class _FixtureContext:
         """The Levi part as a standalone algebra, shared by the Levi checks."""
         return induced_algebra(levi_decomposition(self.g).levi)
 
-    @cached_property
-    def chain_starts(self) -> dict:
-        starts = self.matrix.get("chain_starts", {}).get(self.name, {})
+    def _entries(self, section: str, build: Callable) -> dict:
+        """``{label: build(g, rows)}`` for this fixture's entries of a matrix section."""
+        entries = self.matrix.get(section, {}).get(self.name, {})
         return {
-            label: [parse_vector(row, self.g.dim) for row in rows]
-            for label, rows in sorted(starts.items())
+            label: build(self.g, [parse_vector(row, self.g.dim) for row in rows])
+            for label, rows in sorted(entries.items())
         }
 
     @cached_property
-    def ideal_specs(self) -> dict:
-        ideals = self.matrix.get("ideals", {}).get(self.name, {})
-        return {
-            label: [parse_vector(row, self.g.dim) for row in rows]
-            for label, rows in sorted(ideals.items())
-        }
+    def chain_starts(self) -> dict[str, Subspace]:
+        return self._entries("chain_starts", Subspace)
+
+    @cached_property
+    def ideals(self) -> dict[str, Ideal]:
+        return self._entries("ideals", Ideal)
 
 
-# ---------------------------------------------------------------------------
-# Per-fixture checks.  Each returns None on pass or a witness dict on failure.
-# ---------------------------------------------------------------------------
+# Per-fixture checks: one context per algebra.
+_FIXTURE_CHECKS: list[_Check] = []
+_fixture_check = partial(_check, _FIXTURE_CHECKS)
 
 
+@_fixture_check("core-jacobi", "[[x,y],z] + [[y,z],x] + [[z,x],y] = 0")
 def _check_jacobi(ctx: _FixtureContext):
     g = ctx.g
     vectors = [linalg.unit_vec(g.dim, i) for i in range(g.dim)]
@@ -191,29 +230,34 @@ def _check_jacobi(ctx: _FixtureContext):
         res = linalg.vec_add(res, g.bracket(g.bracket(y, z), x))
         res = linalg.vec_add(res, g.bracket(g.bracket(z, x), y))
         if not linalg.is_zero_vec(res):
-            return {"triple": _matrix_to_strings([x, y, z]), "residual": [str(e) for e in res]}
+            return {"triple": _strings([x, y, z]), "residual": [str(e) for e in res]}
     return None
 
 
+@_fixture_check("core-normalizer-containments", "L <= N(L) and Z(L) <= N(L) for every pool subalgebra L")
 def _check_normalizer_containments(ctx: _FixtureContext):
     for sub in ctx.pool_subalgebras:
         nrm = normalizer(sub)
-        if not nrm.contains_subspace(sub):
-            return _subspace_witness("subalgebra", sub)
-        if not nrm.contains_subspace(centralizer(sub)):
-            return _subspace_witness("subalgebra", sub)
+        if not nrm.contains_subspace(sub) or not nrm.contains_subspace(centralizer(sub)):
+            return _witness(subalgebra=sub)
     return None
 
 
+@_fixture_check(
+    "core-nilpotent-normalizer-growth",
+    "every proper subalgebra of a nilpotent algebra grows under N(.)",
+    applies=lambda c: is_nilpotent(c.g.whole()),
+)
 def _check_nilpotent_normalizer_growth(ctx: _FixtureContext):
     for sub in ctx.pool_subalgebras:
         if sub.dim == ctx.g.dim:
             continue
         if normalizer(sub).dim <= sub.dim:
-            return _subspace_witness("proper_subalgebra", sub)
+            return _witness(proper_subalgebra=sub)
     return None
 
 
+@_fixture_check("core-canonical-form", "respanned subspaces reduce to identical canonical matrices")
 def _check_canonical_form(ctx: _FixtureContext):
     g = ctx.g
     for sub in ctx.pool_subalgebras:
@@ -225,13 +269,11 @@ def _check_canonical_form(ctx: _FixtureContext):
             scrambled[0] = linalg.vec_add(scrambled[0], rows[-1])
         rebuilt = Subspace(g, scrambled)
         if rebuilt != sub:
-            return {
-                "original": _matrix_to_strings(sub.matrix),
-                "rebuilt": _matrix_to_strings(rebuilt.matrix),
-            }
+            return _witness(original=sub, rebuilt=rebuilt)
     return None
 
 
+@_fixture_check("core-killing-invariance", "k([x,y],z) = k(x,[y,z]) on basis triples")
 def _check_killing_invariance(ctx: _FixtureContext):
     g = ctx.g
     form = killing_form(g)
@@ -240,44 +282,50 @@ def _check_killing_invariance(ctx: _FixtureContext):
         lhs = killing_value(form, g.bracket(x, y), z)
         rhs = killing_value(form, x, g.bracket(y, z))
         if lhs != rhs:
-            return {"triple": _matrix_to_strings([x, y, z]), "lhs": str(lhs), "rhs": str(rhs)}
+            return {"triple": _strings([x, y, z]), "lhs": str(lhs), "rhs": str(rhs)}
     return None
 
 
+@_fixture_check(
+    "radicals-bruteforce-radical",
+    "the radical is the unique maximal solvable enumerated ideal",
+    applies=lambda c: c.g.dim <= BRUTEFORCE_RADICAL_DIM,
+)
 def _check_bruteforce_radical(ctx: _FixtureContext):
     oracle = bruteforce_max_solvable_ideal(ctx.g, ctx.ideal_candidates)
     rad = radical(ctx.g)
     if oracle != rad:
-        return {
-            "radical": _matrix_to_strings(rad.matrix),
-            "bruteforce": _matrix_to_strings(oracle.matrix),
-        }
+        return _witness(radical=rad, bruteforce=oracle)
     return None
 
 
+@_fixture_check(
+    "radicals-bruteforce-nilradical",
+    "the nilradical is the unique maximal nilpotent enumerated ideal",
+    applies=lambda c: c.g.dim <= BRUTEFORCE_RADICAL_DIM,
+)
 def _check_bruteforce_nilradical(ctx: _FixtureContext):
     oracle = bruteforce_max_nilpotent_ideal(ctx.g, ctx.ideal_candidates)
     nil = nilradical(ctx.g)
     if oracle != nil:
-        return {
-            "nilradical": _matrix_to_strings(nil.matrix),
-            "bruteforce": _matrix_to_strings(oracle.matrix),
-        }
+        return _witness(nilradical=nil, bruteforce=oracle)
     return None
 
 
+@_fixture_check("radicals-containments", "[g,R] <= N <= R and [R,R] <= N")
 def _check_radical_containments(ctx: _FixtureContext):
     g = ctx.g
     rad, nil = radical(g), nilradical(g)
     if not rad.contains_subspace(nil):
-        return _subspace_witness("nilradical", nil)
+        return _witness(nilradical=nil)
     if not nil.contains_subspace(bracket_span(g.whole(), rad)):
-        return _subspace_witness("bracket_g_radical", bracket_span(g.whole(), rad))
+        return _witness(bracket_g_radical=bracket_span(g.whole(), rad))
     if not nil.contains_subspace(bracket_span(rad, rad)):
-        return _subspace_witness("derived_radical", bracket_span(rad, rad))
+        return _witness(derived_radical=bracket_span(rad, rad))
     return None
 
 
+@_fixture_check("radicals-semisimple", "Killing form nondegenerate iff the radical vanishes")
 def _check_semisimple_consistency(ctx: _FixtureContext):
     flag = is_semisimple(ctx.g)
     rad = radical(ctx.g)
@@ -286,19 +334,21 @@ def _check_semisimple_consistency(ctx: _FixtureContext):
     return None
 
 
+@_fixture_check("levi-split", "g = S (+) R with S semisimple and R the radical")
 def _check_levi_split(ctx: _FixtureContext):
     decomp = levi_decomposition(ctx.g)
     if decomp.levi.dim + decomp.radical.dim != ctx.g.dim:
         return {"levi_dim": decomp.levi.dim, "radical_dim": decomp.radical.dim}
     if decomp.levi.intersect(decomp.radical).dim != 0:
-        return _subspace_witness("intersection", decomp.levi.intersect(decomp.radical))
+        return _witness(intersection=decomp.levi.intersect(decomp.radical))
     if decomp.levi.dim and not is_semisimple(ctx.levi_frame.target):
-        return _subspace_witness("levi", decomp.levi)
+        return _witness(levi=decomp.levi)
     if decomp.radical != radical(ctx.g):
-        return _subspace_witness("radical", decomp.radical)
+        return _witness(radical=decomp.radical)
     return None
 
 
+@_fixture_check("levi-roundtrip", "induced-to-ambient coordinate maps compose to the identity")
 def _check_levi_roundtrip(ctx: _FixtureContext):
     decomp = levi_decomposition(ctx.g)
     if decomp.levi.dim == 0:
@@ -307,33 +357,36 @@ def _check_levi_roundtrip(ctx: _FixtureContext):
     h_levi = composite_csa(ctx.g).trace[0]
     back = frame.preimage_subspace(frame.push_subspace(h_levi))
     if back != h_levi:
-        return {
-            "inner": _matrix_to_strings(h_levi.matrix),
-            "roundtrip": _matrix_to_strings(back.matrix),
-        }
+        return _witness(inner=h_levi, roundtrip=back)
     return None
 
 
 def _cartan_axiom_witness(result: CartanResult):
     if not is_cartan_subalgebra(result.csa):
-        return _subspace_witness("csa", result.csa)
+        return _witness(csa=result.csa)
     if not result.trace or result.trace[-1] != result.csa:
         return {"trace_length": len(result.trace)}
     return None
 
 
+@_fixture_check("cartan-axioms-regular", "the regular-element construction is nilpotent and self-normalizing")
 def _check_axioms_regular(ctx: _FixtureContext):
     return _cartan_axiom_witness(regular_element_csa(ctx.g))
 
 
+@_fixture_check("cartan-axioms-composite", "H_S (+) H_{Z_R(H_S)} is nilpotent and self-normalizing")
 def _check_axioms_composite(ctx: _FixtureContext):
     return _cartan_axiom_witness(composite_csa(ctx.g))
 
 
+@_fixture_check(
+    "cartan-axioms-chain",
+    "the normalizer chain grows strictly to a Cartan subalgebra within dim steps",
+    applies=lambda c: is_solvable(c.g.whole()),
+)
 def _check_chain_recipe(ctx: _FixtureContext):
     g = ctx.g
-    for label, rows in ctx.chain_starts.items():
-        start = Subspace(g, rows)
+    for label, start in ctx.chain_starts.items():
         result = normalizer_chain_csa(g, start)
         witness = _cartan_axiom_witness(result)
         if witness is not None:
@@ -350,23 +403,28 @@ def _check_chain_recipe(ctx: _FixtureContext):
         if not result.csa.contains_subspace(start):
             return {"start": label, "missing_start": True}
     # the default start (Fitting null of a regular element) must also work
-    result = normalizer_chain_csa(g)
-    return _cartan_axiom_witness(result)
+    return _cartan_axiom_witness(normalizer_chain_csa(g))
 
 
+@_fixture_check("cartan-rank-consistency", "every construction returns a subalgebra of the rank dimension")
 def _check_rank_consistency(ctx: _FixtureContext):
     rank_dim = regular_element_csa(ctx.g).csa.dim
     composite_dim = composite_csa(ctx.g).csa.dim
     if composite_dim != rank_dim:
         return {"regular_dim": rank_dim, "composite_dim": composite_dim}
     if is_solvable(ctx.g.whole()):
-        for label, rows in ctx.chain_starts.items():
-            chain_dim = normalizer_chain_csa(ctx.g, Subspace(ctx.g, rows)).csa.dim
+        for label, start in ctx.chain_starts.items():
+            chain_dim = normalizer_chain_csa(ctx.g, start).csa.dim
             if chain_dim != rank_dim:
                 return {"start": label, "chain_dim": chain_dim, "regular_dim": rank_dim}
     return None
 
 
+@_fixture_check(
+    "cartan-maximal-nilpotent",
+    "nilpotent self-normalizing pool subalgebras are maximal nilpotent of rank dimension",
+    applies=lambda c: c.g.dim <= BRUTEFORCE_CARTAN_DIM and is_solvable(c.g.whole()),
+)
 def _check_maximal_nilpotent(ctx: _FixtureContext):
     rank_dim = regular_element_csa(ctx.g).csa.dim
     pool = ctx.pool_subalgebras
@@ -378,53 +436,56 @@ def _check_maximal_nilpotent(ctx: _FixtureContext):
         # nothing nilpotent in the pool may strictly contain it, and its
         # dimension must be the rank
         if sub.dim != rank_dim:
-            return _subspace_witness("csa_candidate", sub) | {"dim": sub.dim, "rank": rank_dim}
+            return _witness(csa_candidate=sub, dim=sub.dim, rank=rank_dim)
         for other in nilpotent_pool:
             if other.dim > sub.dim and other.contains_subspace(sub):
-                return _subspace_witness("larger_nilpotent", other)
+                return _witness(larger_nilpotent=other)
     return None
 
 
+@_fixture_check(
+    "cartan-selfcentralizing",
+    "a Cartan subalgebra of a semisimple algebra is its own centralizer",
+    applies=lambda c: is_semisimple(c.g),
+)
 def _check_selfcentralizing(ctx: _FixtureContext):
     csa = regular_element_csa(ctx.g).csa
     if centralizer(csa) != csa:
-        return _subspace_witness("centralizer", centralizer(csa))
+        return _witness(centralizer=centralizer(csa))
     return None
 
 
+@_fixture_check("cartan-decomposition-radical", "Z_R(H_S) + N = R and H_Z + N = R")
 def _check_decomposition_radical(ctx: _FixtureContext):
     rad, nil = radical(ctx.g), nilradical(ctx.g)
     _, z, hz, _ = composite_csa(ctx.g).trace
     if z.sum(nil) != rad:
-        return {
-            "z_plus_n": _matrix_to_strings(z.sum(nil).matrix),
-            "radical": _matrix_to_strings(rad.matrix),
-        }
+        return _witness(z_plus_n=z.sum(nil), radical=rad)
     if hz.sum(nil) != rad:
-        return {
-            "hz_plus_n": _matrix_to_strings(hz.sum(nil).matrix),
-            "radical": _matrix_to_strings(rad.matrix),
-        }
+        return _witness(hz_plus_n=hz.sum(nil), radical=rad)
     return None
 
 
+@_fixture_check(
+    "cartan-nilpotent-radical-form",
+    "with nilpotent radical the composite equals H_S (+) Z_N(H_S)",
+    applies=lambda c: is_nilpotent(radical(c.g)),
+)
 def _check_nilpotent_radical_form(ctx: _FixtureContext):
     composite = composite_csa(ctx.g)
     h_levi = composite.trace[0]
     z_nil = centralizer(h_levi).intersect(nilradical(ctx.g))
     expected = h_levi.sum(z_nil)
     if composite.csa != expected:
-        return {
-            "composite": _matrix_to_strings(composite.csa.matrix),
-            "hs_plus_zn": _matrix_to_strings(expected.matrix),
-        }
+        return _witness(composite=composite.csa, hs_plus_zn=expected)
     return None
 
 
+@_fixture_check("quotient-correspondence", "Cartan subalgebras push to and lift from every quotient in the matrix")
 def _check_quotient_pairs(ctx: _FixtureContext):
     g = ctx.g
-    for label, rows in ctx.ideal_specs.items():
-        q = quotient_algebra(g, Ideal(g, rows))
+    for label, ideal in ctx.ideals.items():
+        q = quotient_algebra(g, ideal)
         source_csa = composite_csa(g).csa
         pushed = push_cartan(source_csa, q)  # raises on any axiom failure
         target_csa = regular_element_csa(q.target).csa
@@ -435,159 +496,22 @@ def _check_quotient_pairs(ctx: _FixtureContext):
             return {"ideal": label, "stage": "rank-inequality"}
         again = push_cartan(lift_cartan(pushed, q), q)
         if again != pushed:
-            return {
-                "ideal": label,
-                "pushed": _matrix_to_strings(pushed.matrix),
-                "roundtrip": _matrix_to_strings(again.matrix),
-            }
+            return _witness(ideal=label, pushed=pushed, roundtrip=again)
     return None
 
 
+@_fixture_check(
+    "quotient-subideal-csa",
+    "H ∩ I lies in a Cartan subalgebra of I (reported, not asserted)",
+    advisory=True,
+)
 def _check_subideal_csa(ctx: _FixtureContext):
     """Advisory: H ∩ I sits inside the Cartan subalgebra of I that the recursion finds."""
-    g = ctx.g
-    for label, rows in ctx.ideal_specs.items():
-        ideal = Ideal(g, rows)
-        meet = composite_csa(g).csa.intersect(ideal)
+    for label, ideal in ctx.ideals.items():
+        meet = composite_csa(ctx.g).csa.intersect(ideal)
         if not fitting_null_recursion(ideal).csa.contains_subspace(meet):
-            return {"ideal": label, "meet": _matrix_to_strings(meet.matrix)}
+            return _witness(ideal=label, meet=meet)
     return None
-
-
-@dataclass(frozen=True)
-class _Check:
-    """One row of a check table: the check runs on contexts where ``applies``."""
-
-    check_id: str
-    anchor: str
-    fn: Callable
-    applies: Callable = lambda ctx: True
-    advisory: bool = False
-
-
-def _run_checks(checks: list[_Check], ctx) -> tuple[CheckResult, ...]:
-    """Run every applicable check; a typed error is a failure with a witness."""
-    results = []
-    for check in checks:
-        if not check.applies(ctx):
-            continue
-        try:
-            witness = check.fn(ctx)
-        except CartanKitError as exc:
-            witness = {"error": f"{type(exc).__name__}: {exc}"}
-        results.append(
-            CheckResult(check.check_id, check.anchor, witness is None, check.advisory, witness)
-        )
-    return tuple(sorted(results, key=lambda r: r.check_id))
-
-
-_FIXTURE_CHECKS = [
-    _Check("core-jacobi", "[[x,y],z] + [[y,z],x] + [[z,x],y] = 0", _check_jacobi),
-    _Check(
-        "core-normalizer-containments",
-        "L <= N(L) and Z(L) <= N(L) for every pool subalgebra L",
-        _check_normalizer_containments,
-    ),
-    _Check(
-        "core-nilpotent-normalizer-growth",
-        "every proper subalgebra of a nilpotent algebra grows under N(.)",
-        _check_nilpotent_normalizer_growth,
-        applies=lambda c: is_nilpotent(c.g.whole()),
-    ),
-    _Check(
-        "core-canonical-form",
-        "respanned subspaces reduce to identical canonical matrices",
-        _check_canonical_form,
-    ),
-    _Check(
-        "core-killing-invariance",
-        "k([x,y],z) = k(x,[y,z]) on basis triples",
-        _check_killing_invariance,
-    ),
-    _Check(
-        "radicals-bruteforce-radical",
-        "the radical is the unique maximal solvable enumerated ideal",
-        _check_bruteforce_radical,
-        applies=lambda c: c.g.dim <= BRUTEFORCE_RADICAL_DIM,
-    ),
-    _Check(
-        "radicals-bruteforce-nilradical",
-        "the nilradical is the unique maximal nilpotent enumerated ideal",
-        _check_bruteforce_nilradical,
-        applies=lambda c: c.g.dim <= BRUTEFORCE_RADICAL_DIM,
-    ),
-    _Check(
-        "radicals-containments",
-        "[g,R] <= N <= R and [R,R] <= N",
-        _check_radical_containments,
-    ),
-    _Check(
-        "radicals-semisimple",
-        "Killing form nondegenerate iff the radical vanishes",
-        _check_semisimple_consistency,
-    ),
-    _Check("levi-split", "g = S (+) R with S semisimple and R the radical", _check_levi_split),
-    _Check(
-        "levi-roundtrip",
-        "induced-to-ambient coordinate maps compose to the identity",
-        _check_levi_roundtrip,
-    ),
-    _Check(
-        "cartan-axioms-regular",
-        "the regular-element construction is nilpotent and self-normalizing",
-        _check_axioms_regular,
-    ),
-    _Check(
-        "cartan-axioms-composite",
-        "H_S (+) H_{Z_R(H_S)} is nilpotent and self-normalizing",
-        _check_axioms_composite,
-    ),
-    _Check(
-        "cartan-axioms-chain",
-        "the normalizer chain grows strictly to a Cartan subalgebra within dim steps",
-        _check_chain_recipe,
-        applies=lambda c: is_solvable(c.g.whole()),
-    ),
-    _Check(
-        "cartan-rank-consistency",
-        "every construction returns a subalgebra of the rank dimension",
-        _check_rank_consistency,
-    ),
-    _Check(
-        "cartan-maximal-nilpotent",
-        "nilpotent self-normalizing pool subalgebras are maximal nilpotent of rank dimension",
-        _check_maximal_nilpotent,
-        applies=lambda c: c.g.dim <= BRUTEFORCE_CARTAN_DIM and is_solvable(c.g.whole()),
-    ),
-    _Check(
-        "cartan-selfcentralizing",
-        "a Cartan subalgebra of a semisimple algebra is its own centralizer",
-        _check_selfcentralizing,
-        applies=lambda c: is_semisimple(c.g),
-    ),
-    _Check(
-        "cartan-decomposition-radical",
-        "Z_R(H_S) + N = R and H_Z + N = R",
-        _check_decomposition_radical,
-    ),
-    _Check(
-        "cartan-nilpotent-radical-form",
-        "with nilpotent radical the composite equals H_S (+) Z_N(H_S)",
-        _check_nilpotent_radical_form,
-        applies=lambda c: is_nilpotent(radical(c.g)),
-    ),
-    _Check(
-        "quotient-correspondence",
-        "Cartan subalgebras push to and lift from every quotient in the matrix",
-        _check_quotient_pairs,
-    ),
-    _Check(
-        "quotient-subideal-csa",
-        "H ∩ I lies in a Cartan subalgebra of I (reported, not asserted)",
-        _check_subideal_csa,
-        advisory=True,
-    ),
-]
 
 
 def verify_fixture(name: str, algebra: LieAlgebra, matrix: dict) -> FixtureReport:
@@ -595,26 +519,27 @@ def verify_fixture(name: str, algebra: LieAlgebra, matrix: dict) -> FixtureRepor
     return FixtureReport(fixture=name, results=_run_checks(_FIXTURE_CHECKS, ctx))
 
 
-# ---------------------------------------------------------------------------
 # Power-map model checks: one context per model instance, one for the triples.
-# ---------------------------------------------------------------------------
-
 
 @dataclass(frozen=True)
 class _ModelContext:
+    """A power-map input: a model instance, or the model triples."""
+
     name: str
-    instance: GroupDensityInstance | None
-    triples: list[ModelTriple] | None
+    subject: GroupDensityInstance | list[ModelTriple]
     k_max: int
     order_limit: int
 
 
+_INSTANCE_CHECKS: list[_Check] = []
+_TRIPLES_CHECKS: list[_Check] = []
+_instance_check = partial(_check, _INSTANCE_CHECKS)
+
+
+@_instance_check("powermap-bruteforce", "gcd surjectivity criterion matches finite enumeration")
 def _check_model_bruteforce(ctx: _ModelContext):
-    for idx, model in enumerate(ctx.instance.cartan_models):
-        total = 1
-        for m in model.component_orders:
-            total *= m
-        if total > ctx.order_limit:
+    for idx, model in enumerate(ctx.subject.cartan_models):
+        if math.prod(model.component_orders) > ctx.order_limit:
             continue
         for k in range(1, ctx.k_max + 1):
             fast = pk_surjective(model, k)
@@ -624,14 +549,16 @@ def _check_model_bruteforce(ctx: _ModelContext):
     return None
 
 
+@_instance_check("powermap-k1", "the first power map is onto every model")
 def _check_model_k1(ctx: _ModelContext):
-    if not density_from_cartans(ctx.instance, 1):
+    if not density_from_cartans(ctx.subject, 1):
         return {"k": 1}
     return None
 
 
+@_instance_check("powermap-multiplicativity", "surjective for k1*k2 iff surjective for k1 and for k2")
 def _check_model_multiplicativity(ctx: _ModelContext):
-    for idx, model in enumerate(ctx.instance.cartan_models):
+    for idx, model in enumerate(ctx.subject.cartan_models):
         for k1 in range(1, 13):
             for k2 in range(1, 13):
                 joint = pk_surjective(model, k1 * k2)
@@ -641,24 +568,31 @@ def _check_model_multiplicativity(ctx: _ModelContext):
     return None
 
 
+@_instance_check("powermap-weak-exponentiality", "dense for every k iff no finite component anywhere")
 def _check_model_weak_exponentiality(ctx: _ModelContext):
-    verdict = weakly_exponential_model(ctx.instance)
-    enumerated = all(density_from_cartans(ctx.instance, k) for k in range(1, 102))
+    verdict = weakly_exponential_model(ctx.subject)
+    enumerated = all(density_from_cartans(ctx.subject, k) for k in range(1, 102))
     if verdict != enumerated:
         return {"verdict": verdict, "enumdensity_to_101": enumerated}
     return None
 
 
+@_instance_check(
+    "powermap-sl2r-parity",
+    "the split Cartan class blocks exactly the even powers",
+    applies=lambda c: c.name == "sl2r-model",
+)
 def _check_sl2r_parity(ctx: _ModelContext):
     for k in range(1, ctx.k_max + 1):
-        dense = density_from_cartans(ctx.instance, k)
+        dense = density_from_cartans(ctx.subject, k)
         if dense != (k % 2 == 1):
             return {"k": k, "dense": dense}
     return None
 
 
+@_check(_TRIPLES_CHECKS, "powermap-composition", "density on subgroup and quotient implies density on the group")
 def _check_composition(ctx: _ModelContext):
-    for triple in ctx.triples:
+    for triple in ctx.subject:
         for k in range(1, ctx.k_max + 1):
             h = density_from_cartans(triple.subgroup, k)
             q = density_from_cartans(triple.quotient, k)
@@ -668,108 +602,50 @@ def _check_composition(ctx: _ModelContext):
     return None
 
 
-def _on_instance(ctx: _ModelContext) -> bool:
-    return ctx.instance is not None
-
-
-_MODEL_CHECKS = [
-    _Check(
-        "powermap-bruteforce",
-        "gcd surjectivity criterion matches finite enumeration",
-        _check_model_bruteforce,
-        _on_instance,
-    ),
-    _Check("powermap-k1", "the first power map is onto every model", _check_model_k1, _on_instance),
-    _Check(
-        "powermap-multiplicativity",
-        "surjective for k1*k2 iff surjective for k1 and for k2",
-        _check_model_multiplicativity,
-        _on_instance,
-    ),
-    _Check(
-        "powermap-weak-exponentiality",
-        "dense for every k iff no finite component anywhere",
-        _check_model_weak_exponentiality,
-        _on_instance,
-    ),
-    _Check(
-        "powermap-sl2r-parity",
-        "the split Cartan class blocks exactly the even powers",
-        _check_sl2r_parity,
-        applies=lambda c: c.name == "sl2r-model",
-    ),
-    _Check(
-        "powermap-composition",
-        "density on subgroup and quotient implies density on the group",
-        _check_composition,
-        applies=lambda c: c.triples is not None,
-    ),
-]
-
-
 def verify_models(matrix: dict) -> list[FixtureReport]:
     cfg = matrix.get("powermap", {})
     models = bundled_models()
     k_max, order_limit = int(cfg.get("k_max", 99)), int(cfg.get("bruteforce_order_limit", 10000))
-    contexts = [
-        _ModelContext(name, load_instance(models[name]), None, k_max, order_limit)
+    runs = [
+        (_INSTANCE_CHECKS, _ModelContext(name, load_instance(models[name]), k_max, order_limit))
         for name in sorted(set(cfg.get("instances", [])))
     ]
     triples = load_triples(models[cfg.get("triples", "triples")])
-    contexts.append(_ModelContext("triples", None, triples, k_max, order_limit))
+    runs.append((_TRIPLES_CHECKS, _ModelContext("triples", triples, k_max, order_limit)))
     return [
-        FixtureReport(fixture=f"model:{c.name}", results=_run_checks(_MODEL_CHECKS, c))
-        for c in contexts
+        FixtureReport(fixture=f"model:{ctx.name}", results=_run_checks(checks, ctx))
+        for checks, ctx in runs
     ]
 
 
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
+def _verify_file(path, bundled: dict, matrix: dict) -> FixtureReport:
+    """One explicit file; the matrix entries apply only if it holds the bundled fixture of its name."""
+    try:
+        algebra = load_algebra(path)
+    except JacobiViolation as exc:
+        witness = {"triple": list(exc.triple), "residual": [str(e) for e in exc.residual]}
+        result = CheckResult("load-jacobi", "structure constants satisfy the Jacobi identity", "fail", witness)
+        return FixtureReport(fixture=str(path), results=(result,))
+    name = algebra.name or str(path)
+    own = name in bundled and load_algebra(bundled[name]) == algebra
+    return verify_fixture(name, algebra, matrix if own else {})
 
 
-def run_verification(paths=None, include_models: bool = True) -> VerificationReport:
-    """Verify explicit fixture files, or the whole bundled catalog.
+def run_verification(paths=None) -> VerificationReport:
+    """Verify explicit fixture files, or the whole bundled catalog and the power-map models.
 
     A file that parses but violates the Jacobi identity counts as a failed
     check (the harness must flag corrupted catalogs), while an unreadable
     file stays an input error.
     """
     matrix = load_verification_matrix()
-    reports = []
+    bundled = bundled_fixtures()
     if paths is None:
-        for name, path in bundled_fixtures().items():
-            reports.append(verify_fixture(name, load_algebra(path), matrix))
+        reports = [verify_fixture(name, load_algebra(path), matrix) for name, path in bundled.items()]
+        reports += verify_models(matrix)
     else:
-        for path in paths:
-            try:
-                algebra = load_algebra(path)
-            except JacobiViolation as exc:
-                reports.append(
-                    FixtureReport(
-                        fixture=str(path),
-                        results=(
-                            CheckResult(
-                                check_id="load-jacobi",
-                                anchor="structure constants satisfy the Jacobi identity",
-                                passed=False,
-                                advisory=False,
-                                witness={
-                                    "triple": list(exc.triple),
-                                    "residual": [str(e) for e in exc.residual],
-                                },
-                            ),
-                        ),
-                    )
-                )
-                continue
-            name = algebra.name or str(path)
-            reports.append(verify_fixture(name, algebra, matrix))
-        include_models = False
-    if include_models:
-        reports.extend(verify_models(matrix))
-    reports.sort(key=lambda r: r.fixture)
-    return VerificationReport(fixtures=tuple(reports))
+        reports = [_verify_file(path, bundled, matrix) for path in paths]
+    return VerificationReport(fixtures=tuple(sorted(reports, key=lambda r: r.fixture)))
 
 
 def report_to_json(report: VerificationReport) -> str:
@@ -778,12 +654,7 @@ def report_to_json(report: VerificationReport) -> str:
             {
                 "fixture": f.fixture,
                 "results": [
-                    {
-                        "check": r.check_id,
-                        "anchor": r.anchor,
-                        "status": "pass" if r.passed else ("reported" if r.advisory else "fail"),
-                        "witness": r.witness,
-                    }
+                    {"check": r.check_id, "anchor": r.anchor, "status": r.status, "witness": r.witness}
                     for r in f.results
                 ],
             }
@@ -798,9 +669,8 @@ def report_to_text(report: VerificationReport) -> str:
     lines = []
     for f in report.fixtures:
         for r in f.results:
-            status = "PASS" if r.passed else ("REPORTED" if r.advisory else "FAIL")
-            lines.append(f"{status:8s} {f.fixture:24s} {r.check_id}")
-            if not r.passed and r.witness:
+            lines.append(f"{r.status.upper():8s} {f.fixture:24s} {r.check_id}")
+            if r.status != "pass" and r.witness:
                 lines.append(f"         anchor: {r.anchor}")
                 lines.append(f"         witness: {json.dumps(r.witness, sort_keys=True)}")
     s = report.summary

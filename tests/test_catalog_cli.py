@@ -18,7 +18,7 @@ from cartankit.catalog import (
     parse_rational,
     parse_vector,
 )
-from cartankit import cli
+from cartankit import cli, verify
 from cartankit.cli import main
 from cartankit.errors import (
     DimensionMismatch,
@@ -300,6 +300,43 @@ def test_cli_verify_single_fixture(runner):
     result = runner.invoke(main, ["verify", fixture_path("aff1")])
     assert result.exit_code == 0
     assert "failed" in result.output
+
+
+def test_cli_verify_all_with_paths_is_an_input_error(runner):
+    result = runner.invoke(main, ["verify", "--all", fixture_path("aff1")])
+    assert result.exit_code == 2
+    assert "error:" in result.output
+    assert "checks" not in result.output
+
+
+def unnamed_copy(tmp_path, fixture, file_name):
+    payload = json.loads(bundled_fixtures()[fixture].read_text(encoding="utf-8"))
+    del payload["name"]
+    return str(write_json(tmp_path, file_name, payload))
+
+
+def test_cli_verify_file_named_like_another_fixture(runner, tmp_path):
+    # e2 saved without its name as heisenberg.json: heisenberg's ideals and
+    # chain starts from the verification matrix do not apply to it
+    result = runner.invoke(main, ["verify", unnamed_copy(tmp_path, "e2", "heisenberg.json")])
+    assert result.exit_code == 0, result.output
+    assert "18 checks: 18 passed, 0 failed, 0 advisory reported" in result.output
+
+
+@pytest.mark.parametrize(
+    ("fixture", "file_name", "applied"),
+    [("aff1", None, True), ("aff1", "aff1.json", True), ("e2", "heisenberg.json", False)],
+)
+def test_cli_verify_applies_matrix_entries_to_the_bundled_algebra_only(
+    runner, tmp_path, monkeypatch, fixture, file_name, applied
+):
+    # a lift that is always zero fails quotient-correspondence on every
+    # ideal of the matrix, so the check fails exactly when entries apply
+    monkeypatch.setattr(verify, "lift_cartan", lambda h, q: q.upper.ambient.zero_subalgebra())
+    path = fixture_path(fixture) if file_name is None else unnamed_copy(tmp_path, fixture, file_name)
+    result = runner.invoke(main, ["verify", path])
+    assert result.exit_code == (1 if applied else 0), result.output
+    assert ("FAIL     " in result.output) == applied
 
 
 def test_cli_verify_flags_corrupted_fixture(runner, tmp_path):

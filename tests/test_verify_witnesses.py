@@ -200,3 +200,14 @@ def test_cases_make_every_check_fail():
     }
     assert len(catalog_ids) == 27
     assert failing == catalog_ids
+
+
+def test_typed_error_in_applies_is_the_witness():
+    # radical() raises on this bracket, inside the applies predicate of
+    # cartan-nilpotent-radical-form: the error is that check's witness and
+    # the other checks still run
+    g = LieAlgebra(3, {(0, 1): {1: 1}, (1, 2): {0: 1}, (0, 2): {2: 1}}, check_jacobi=False)
+    results = {r.check_id: r for r in verify.verify_fixture("broken", g, {}).results}
+    assert results["core-jacobi"].status == "fail"
+    assert results["cartan-nilpotent-radical-form"].witness["error"].startswith("InternalInconsistency: ")
+    assert results["radicals-semisimple"].status != "pass"
