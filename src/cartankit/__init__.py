@@ -44,7 +44,7 @@ from .powermap import (
     weakly_exponential_model,
 )
 from .quotient import lift_cartan, push_cartan, quotient_algebra
-from .radicals import RadicalPair, is_semisimple, nilradical, radical, radical_pair
+from .radicals import is_semisimple, nilradical, radical
 from .verify import run_verification
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "Ideal",
     "LeviDecomposition",
     "LieAlgebra",
-    "RadicalPair",
     "Subalgebra",
     "Subquotient",
     "Subspace",
@@ -88,7 +87,6 @@ __all__ = [
     "push_cartan",
     "quotient_algebra",
     "radical",
-    "radical_pair",
     "rank",
     "regular_element_csa",
     "run_verification",

@@ -321,6 +321,11 @@ class Subspace:
         return f"{type(self).__name__}(dim={self.dim} of {self.ambient.dim})"
 
 
+def _text(v) -> str:
+    """A vector as error messages write it: (1, 0, -3/2)."""
+    return f"({', '.join(map(str, v))})"
+
+
 class Subalgebra(Subspace):
     """A subspace closed under the bracket."""
 
@@ -333,7 +338,10 @@ class Subalgebra(Subspace):
             for j in range(i + 1, len(pairs)):
                 if not self._contains_ints(ambient._bracket_ints(x, pairs[j])):
                     a, b = self.matrix[i], self.matrix[j]
-                    raise NotClosed(f"bracket of basis rows leaves the span: [{a}, {b}] = {ambient.bracket(a, b)}")
+                    raise NotClosed(
+                        f"bracket of basis rows leaves the span: "
+                        f"[{_text(a)}, {_text(b)}] = {_text(ambient.bracket(a, b))}"
+                    )
 
 
 class Ideal(Subalgebra):
@@ -347,7 +355,7 @@ class Ideal(Subalgebra):
             a = self.matrix[t]
             raise NotIdeal(
                 f"[{ambient.basis_labels[i]}, row] leaves the span: "
-                f"row {a}, bracket {ambient.bracket_basis_vec(i, a)}"
+                f"row {_text(a)}, bracket {_text(ambient.bracket_basis_vec(i, a))}"
             )
 
 

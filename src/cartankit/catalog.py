@@ -56,11 +56,19 @@ def _distinct_keys(pairs) -> dict:
     return out
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; one past the interpreter's digit limit raises ParseError."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"an integer of {len(text)} digits is too long") from exc
+
+
 def read_json(path):
     """Parse a JSON file; a key repeated inside one object raises ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_distinct_keys)
+            return json.load(fh, object_pairs_hook=_distinct_keys, parse_int=_json_int)
     except (json.JSONDecodeError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -78,8 +86,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"bad rational string {value!r}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise ParseError(f"bad rational string {value!r}: the denominator is zero") from exc
     raise ParseError(
         f"rational entries must be strings or integers, got {type(value).__name__} "
         "(floats would break bit-exact round trips)"
@@ -92,6 +102,17 @@ def parse_vector(entries, dim: int) -> Vec:
     if len(entries) != dim:
         raise ParseError(f"coordinate vector of length {len(entries)}, expected {dim}")
     return tuple(parse_rational(e) for e in entries)
+
+
+def parse_ideal_spec(text: str, dim: int) -> list[Vec]:
+    """The rows of an ``--ideal`` value: a JSON list of coordinate vectors."""
+    try:
+        raw = json.loads(text, parse_int=_json_int)
+    except (json.JSONDecodeError, ParseError) as exc:
+        raise ParseError(f"bad --ideal JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ParseError("--ideal must be a JSON list of coordinate vectors")
+    return [parse_vector(r, dim) for r in raw]
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,7 +1,11 @@
 """Command-line surface: analyze | cartan | levi | quotient | powermap | verify.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-inconsistency or any other library error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 any other
+toolkit error, which signals a bug.  An input error is an InputError (see
+``cartankit.errors``) or a file that cannot be read: missing, a directory,
+unreadable, or not UTF-8.  Commands raise and never catch; the command
+group maps each error to its one ``error:`` line and its exit code.  Any
+other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -23,20 +27,9 @@ from .catalog import (
     bundled_models,
     format_vector,
     load_algebra,
-    parse_vector,
+    parse_ideal_spec,
 )
-from .errors import (
-    CartanKitError,
-    EmptyInstance,
-    HypothesisViolated,
-    IndexOutOfRange,
-    InvalidOrder,
-    JacobiViolation,
-    NotCartan,
-    NotIdeal,
-    NotSolvable,
-    ParseError,
-)
+from .errors import CartanKitError, InputError
 from .levi import levi_decomposition
 from .powermap import density_from_cartans, load_instance, pk_surjective
 from .quotient import lift_cartan, push_cartan, quotient_algebra
@@ -47,19 +40,6 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
-_INPUT_ERRORS = (
-    ParseError,
-    IndexOutOfRange,
-    JacobiViolation,
-    NotIdeal,
-    NotCartan,
-    NotSolvable,
-    HypothesisViolated,
-    InvalidOrder,
-    EmptyInstance,
-    OSError,
-    ValueError,
-)
 # an unreadable input file: missing, a directory, unreadable, or not UTF-8
 _READ_ERRORS = (OSError, UnicodeDecodeError)
 
@@ -70,27 +50,24 @@ def _echo(message: str) -> None:
     click.echo(message, file=sys.stdout)
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", file=sys.stderr)
-    if isinstance(exc, _INPUT_ERRORS):
-        sys.exit(EXIT_INPUT_ERROR)
-    if isinstance(exc, CartanKitError):
-        sys.exit(EXIT_INTERNAL)
-    raise exc
-
-
-def _load(path: str, skip_jacobi: bool) -> LieAlgebra:
-    try:
-        return load_algebra(path, skip_jacobi=skip_jacobi)
-    except (CartanKitError, *_READ_ERRORS) as exc:
-        _fail(exc)
-
-
 def _subspace_labels(g: LieAlgebra, sub: Subspace) -> list[str]:
     return [g.label_vector(row) for row in sub.matrix]
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Maps every error a command raises to one ``error:`` line and an exit code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own handling: exit 1, no message
+        except (CartanKitError, *_READ_ERRORS) as exc:
+            click.echo(f"error: {exc}", file=sys.stderr)
+            sys.exit(EXIT_INPUT_ERROR if isinstance(exc, (InputError, *_READ_ERRORS)) else EXIT_INTERNAL)
+
+
+@click.group(cls=_ErrorBoundary)
 def main() -> None:
     """Exact computations with Cartan subalgebras of rational Lie algebras."""
 
@@ -101,17 +78,14 @@ def main() -> None:
 @click.option("--skip-jacobi", is_flag=True, help="skip the construction-time Jacobi sweep")
 def analyze(path: str, as_json: bool, skip_jacobi: bool) -> None:
     """Structure report: radical, nilradical, Levi split, rank, one CSA per method."""
-    g = _load(path, skip_jacobi)
-    try:
-        rad = radical(g)
-        nil = nilradical(g)
-        decomp = levi_decomposition(g)
-        regular = regular_element_csa(g)
-        composite = composite_csa(g)
-        solvable = rad.dim == g.dim
-        chain = normalizer_chain_csa(g) if solvable else None
-    except CartanKitError as exc:
-        _fail(exc)
+    g = load_algebra(path, skip_jacobi=skip_jacobi)
+    rad = radical(g)
+    nil = nilradical(g)
+    decomp = levi_decomposition(g)
+    regular = regular_element_csa(g)
+    composite = composite_csa(g)
+    solvable = rad.dim == g.dim
+    chain = normalizer_chain_csa(g) if solvable else None
     if as_json:
         payload = {
             "name": g.name,
@@ -156,16 +130,13 @@ def analyze(path: str, as_json: bool, skip_jacobi: bool) -> None:
 @click.option("--skip-jacobi", is_flag=True)
 def cartan(path: str, method: str, as_json: bool, skip_jacobi: bool) -> None:
     """One Cartan subalgebra by the chosen construction, with its trace."""
-    g = _load(path, skip_jacobi)
-    try:
-        if method == "regular":
-            result = regular_element_csa(g)
-        elif method == "chain":
-            result = normalizer_chain_csa(g)
-        else:
-            result = composite_csa(g)
-    except CartanKitError as exc:
-        _fail(exc)
+    g = load_algebra(path, skip_jacobi=skip_jacobi)
+    if method == "regular":
+        result = regular_element_csa(g)
+    elif method == "chain":
+        result = normalizer_chain_csa(g)
+    else:
+        result = composite_csa(g)
     if as_json:
         payload = {
             "method": result.method.value,
@@ -186,11 +157,8 @@ def cartan(path: str, method: str, as_json: bool, skip_jacobi: bool) -> None:
 @click.option("--skip-jacobi", is_flag=True)
 def levi(path: str, as_json: bool, skip_jacobi: bool) -> None:
     """Levi decomposition: semisimple part and radical."""
-    g = _load(path, skip_jacobi)
-    try:
-        decomp = levi_decomposition(g)
-    except CartanKitError as exc:
-        _fail(exc)
+    g = load_algebra(path, skip_jacobi=skip_jacobi)
+    decomp = levi_decomposition(g)
     if as_json:
         payload = {
             "levi": [format_vector(r) for r in decomp.levi.matrix],
@@ -214,21 +182,13 @@ def levi(path: str, as_json: bool, skip_jacobi: bool) -> None:
 @click.option("--skip-jacobi", is_flag=True)
 def quotient(path: str, ideal_spec: str, as_json: bool, skip_jacobi: bool) -> None:
     """Quotient by an ideal plus the push/lift Cartan round trip."""
-    g = _load(path, skip_jacobi)
-    try:
-        raw = json.loads(ideal_spec)
-        if not isinstance(raw, list):
-            raise ParseError("--ideal must be a JSON list of coordinate vectors")
-        rows = [parse_vector(r, g.dim) for r in raw]
-        ideal = Ideal(g, rows)
-        q = quotient_algebra(g, ideal)
-        source_csa = composite_csa(g).csa
-        pushed = push_cartan(source_csa, q)
-        lifted = lift_cartan(pushed, q)
-    except json.JSONDecodeError as exc:
-        _fail(ParseError(f"bad --ideal JSON: {exc}"))
-    except CartanKitError as exc:
-        _fail(exc)
+    g = load_algebra(path, skip_jacobi=skip_jacobi)
+    rows = parse_ideal_spec(ideal_spec, g.dim)
+    ideal = Ideal(g, rows)
+    q = quotient_algebra(g, ideal)
+    source_csa = composite_csa(g).csa
+    pushed = push_cartan(source_csa, q)
+    lifted = lift_cartan(pushed, q)
     constants = {
         f"{i},{j}": {
             str(k): str(c)
@@ -265,12 +225,9 @@ def quotient(path: str, ideal_spec: str, as_json: bool, skip_jacobi: bool) -> No
 @click.option("--json", "as_json", is_flag=True)
 def powermap(path: str, exponent: int, as_json: bool) -> None:
     """Per-class surjectivity verdicts and the density verdict for one k."""
-    try:
-        instance = load_instance(path)
-        verdicts = [pk_surjective(m, exponent) for m in instance.cartan_models]
-        dense = density_from_cartans(instance, exponent)
-    except (CartanKitError, OSError, ValueError) as exc:
-        _fail(exc)
+    instance = load_instance(path)
+    verdicts = [pk_surjective(m, exponent) for m in instance.cartan_models]
+    dense = density_from_cartans(instance, exponent)
     if as_json:
         payload = {
             "instance": instance.name,
@@ -310,15 +267,12 @@ def powermap(path: str, exponent: int, as_json: bool) -> None:
 def verify(paths: tuple[str, ...], run_all: bool, as_json: bool) -> None:
     """Run every invariant suite; nonzero exit iff any non-advisory check fails."""
     if run_all and paths:
-        _fail(ValueError("--all verifies the bundled catalog and takes no paths"))
-    try:
-        if run_all:
-            report = run_verification()
-        else:
-            # explicit paths only; none given means zero checks, exit 0
-            report = run_verification(paths=list(paths))
-    except (CartanKitError, *_READ_ERRORS) as exc:
-        _fail(exc)
+        raise InputError("--all verifies the bundled catalog and takes no paths")
+    if run_all:
+        report = run_verification()
+    else:
+        # explicit paths only; none given means zero checks, exit 0
+        report = run_verification(paths=list(paths))
     _echo(report_to_json(report) if as_json else report_to_text(report))
     if not report.ok:
         sys.exit(EXIT_VERIFICATION_FAILURE)

@@ -7,6 +7,9 @@ for every cyclic order m.  Density of the k-th power image of the whole
 group is the conjunction of that verdict over the Cartan classes, and a
 density verdict for a normal subgroup and its quotient propagates to the
 extension (checked as an implication over bundled model triples).
+
+The model types check themselves once, when built: ranks are non-negative,
+every cyclic order is at least 2, and an instance has a Cartan class.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import read_json
-from .errors import EmptyInstance, InvalidOrder, ParseError
+from .errors import EmptyInstance, InvalidExponent, InvalidOrder, ParseError
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,13 @@ class CartanGroupModel:
     torus_rank: int
     component_orders: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.vector_rank < 0 or self.torus_rank < 0:
+            raise InvalidOrder("ranks must be non-negative")
+        for m in self.component_orders:
+            if m < 2:
+                raise InvalidOrder(f"component order {m} is below 2")
+
 
 @dataclass(frozen=True)
 class GroupDensityInstance:
@@ -35,13 +45,9 @@ class GroupDensityInstance:
     name: str
     cartan_models: tuple[CartanGroupModel, ...]
 
-
-def _check_model(model: CartanGroupModel) -> None:
-    if model.vector_rank < 0 or model.torus_rank < 0:
-        raise InvalidOrder("ranks must be non-negative")
-    for m in model.component_orders:
-        if m < 2:
-            raise InvalidOrder(f"component order {m} is below 2")
+    def __post_init__(self):
+        if not self.cartan_models:
+            raise EmptyInstance(f"instance {self.name!r} lists no Cartan classes")
 
 
 def pk_surjective(model: CartanGroupModel, k: int) -> bool:
@@ -51,15 +57,12 @@ def pk_surjective(model: CartanGroupModel, k: int) -> bool:
     order m iff gcd(k, m) = 1.
     """
     if k < 1:
-        raise ValueError("the power-map exponent must be a positive integer")
-    _check_model(model)
+        raise InvalidExponent("the power-map exponent must be a positive integer")
     return all(math.gcd(k, m) == 1 for m in model.component_orders)
 
 
 def density_from_cartans(instance: GroupDensityInstance, k: int) -> bool:
     """Dense k-th power image iff the map is onto every Cartan class model."""
-    if not instance.cartan_models:
-        raise EmptyInstance(f"instance {instance.name!r} has no Cartan classes")
     return all(pk_surjective(m, k) for m in instance.cartan_models)
 
 
@@ -74,8 +77,6 @@ def weakly_exponential_model(instance: GroupDensityInstance) -> bool:
     The verdict is exact via the gcd structure; the verification harness
     cross-checks it against enumeration of k.
     """
-    if not instance.cartan_models:
-        raise EmptyInstance(f"instance {instance.name!r} has no Cartan classes")
     return all(not m.component_orders for m in instance.cartan_models)
 
 
@@ -86,7 +87,7 @@ def powers_surjective_bruteforce(orders, k: int) -> bool:
     up to about 10^4.
     """
     if k < 1:
-        raise ValueError("the power-map exponent must be a positive integer")
+        raise InvalidExponent("the power-map exponent must be a positive integer")
     orders = tuple(orders)
     for m in orders:
         if m < 2:
@@ -111,11 +112,13 @@ def _json_integer(value, what: str) -> int:
 
 
 def model_from_dict(data: dict) -> CartanGroupModel:
+    if not isinstance(data, dict):
+        raise ParseError(f"malformed Cartan class model: each class must be an object, got {data!r}")
     try:
         vector_rank, torus_rank = data["vector_rank"], data["torus_rank"]
-        orders = data.get("component_orders", [])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"malformed Cartan class model: {exc}") from exc
+    orders = data.get("component_orders", [])
     if not isinstance(orders, list):
         raise ParseError(f"malformed Cartan class model: component_orders must be a list, got {orders!r}")
     return CartanGroupModel(
@@ -131,8 +134,8 @@ def instance_from_dict(data: dict) -> GroupDensityInstance:
         classes = data["cartan_classes"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed density instance: {exc}") from exc
-    if not isinstance(classes, list) or not classes:
-        raise EmptyInstance(f"instance {name!r} lists no Cartan classes")
+    if not isinstance(classes, list):
+        raise ParseError(f"malformed density instance: cartan_classes must be a list, got {classes!r}")
     return GroupDensityInstance(
         name=str(name), cartan_models=tuple(model_from_dict(c) for c in classes)
     )

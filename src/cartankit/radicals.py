@@ -13,8 +13,6 @@ tests; no production path falls back to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .algebra import (
     Ideal,
@@ -30,12 +28,6 @@ from .algebra import (
 )
 from .errors import InternalInconsistency, NotIdeal
 from .linalg import EchelonForm, Vec
-
-
-@dataclass(frozen=True)
-class RadicalPair:
-    radical: Ideal
-    nilradical: Ideal
 
 
 @per_algebra
@@ -126,14 +118,6 @@ def nilradical(g: LieAlgebra) -> Ideal:
     if not _verify_nilradical(g, rad, candidate):
         raise InternalInconsistency("layered nilradical failed verification")
     return Ideal(g, candidate)
-
-
-def radical_pair(g: LieAlgebra) -> RadicalPair:
-    rad = radical(g)
-    nil = nilradical(g)
-    if not rad.contains_subspace(nil):
-        raise InternalInconsistency("nilradical is not contained in the radical")
-    return RadicalPair(radical=rad, nilradical=nil)
 
 
 # ---------------------------------------------------------------------------

@@ -176,22 +176,28 @@ def test_subquotient_operator_matches_fraction_oracle(ladder_algebra, name):
                 assert t.bracket_basis(i, j) == tuple(coords[p] for p in linalg.pivot_columns(frame.basis.matrix))
 
 
-def test_open_span_and_non_ideal_messages_are_unchanged(sl2):
-    def fr(*xs):
-        return "(" + ", ".join(f"Fraction({x}, 1)" for x in xs) + ")"
+def vector_text(v):
+    """A vector as the failure messages write it: (1, 0, -3/2)."""
+    return "(" + ", ".join(str(x) for x in v) + ")"
 
+
+def test_open_span_and_non_ideal_messages_are_unchanged(sl2):
+    # apart from the rationals, which the messages write as 1 or -3/2
     with pytest.raises(NotClosed) as exc:
         Subalgebra(sl2, [(0, 1, 0), (0, 0, 1)])
-    assert str(exc.value) == f"bracket of basis rows leaves the span: [{fr(0, 1, 0)}, {fr(0, 0, 1)}] = {fr(1, 0, 0)}"
+    assert str(exc.value) == "bracket of basis rows leaves the span: [(0, 1, 0), (0, 0, 1)] = (1, 0, 0)"
     with pytest.raises(NotClosed) as exc:
         Subalgebra(sl2, [(1, 1, 0), (0, 0, 1)])
-    assert str(exc.value) == f"bracket of basis rows leaves the span: [{fr(1, 1, 0)}, {fr(0, 0, 1)}] = {fr(1, 0, -2)}"
+    assert str(exc.value) == "bracket of basis rows leaves the span: [(1, 1, 0), (0, 0, 1)] = (1, 0, -2)"
     with pytest.raises(NotIdeal) as exc:
         Ideal(sl2, [(1, 0, 0)])
-    assert str(exc.value) == f"[e, row] leaves the span: row {fr(1, 0, 0)}, bracket {fr(0, -2, 0)}"
+    assert str(exc.value) == "[e, row] leaves the span: row (1, 0, 0), bracket (0, -2, 0)"
     with pytest.raises(NotIdeal) as exc:
         Ideal(sl2, [(0, 1, 0)])
-    assert str(exc.value) == f"[f, row] leaves the span: row {fr(0, 1, 0)}, bracket {fr(-1, 0, 0)}"
+    assert str(exc.value) == "[f, row] leaves the span: row (0, 1, 0), bracket (-1, 0, 0)"
+    with pytest.raises(NotIdeal) as exc:
+        Ideal(sl2, [(2, 1, 0)])
+    assert str(exc.value) == "[h, row] leaves the span: row (1, 1/2, 0), bracket (0, 1, 0)"
 
 
 def first_open_pair(g, rows):
@@ -201,7 +207,7 @@ def first_open_pair(g, rows):
         for b in canonical[i + 1 :]:
             w = g.bracket(a, b)
             if any(fraction_residual(w, canonical)):
-                return f"bracket of basis rows leaves the span: [{a}, {b}] = {w}"
+                return f"bracket of basis rows leaves the span: [{vector_text(a)}, {vector_text(b)}] = {vector_text(w)}"
     return None
 
 
@@ -211,7 +217,7 @@ def first_escape(g, rows):
         for a in canonical:
             w = g.bracket_basis_vec(i, a)
             if any(fraction_residual(w, canonical)):
-                return f"[{g.basis_labels[i]}, row] leaves the span: row {a}, bracket {w}"
+                return f"[{g.basis_labels[i]}, row] leaves the span: row {vector_text(a)}, bracket {vector_text(w)}"
     return None
 
 

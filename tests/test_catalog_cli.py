@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import gc
 import io
 import json
+import sys
 import weakref
 from fractions import Fraction as F
 
@@ -18,15 +20,13 @@ from cartankit.catalog import (
     parse_rational,
     parse_vector,
 )
-from cartankit import cli, verify
+from cartankit import cli, errors, verify
 from cartankit.cli import main
 from cartankit.errors import (
-    DimensionMismatch,
+    CartanKitError,
     IndexOutOfRange,
-    InternalInconsistency,
+    InputError,
     JacobiViolation,
-    NonNilpotentIterate,
-    NotClosed,
     ParseError,
 )
 
@@ -89,6 +89,12 @@ def test_rational_strings_roundtrip():
     assert parse_vector(["3/2", "-1"], 2) == (F(3, 2), F(-1))
 
 
+def test_zero_denominator_is_named():
+    with pytest.raises(ParseError) as exc:
+        parse_rational("1/0")
+    assert str(exc.value) == "bad rational string '1/0': the denominator is zero"
+
+
 def test_floats_rejected():
     with pytest.raises(ParseError):
         parse_rational(0.5)
@@ -121,6 +127,22 @@ def test_malformed_files(tmp_path):
         algebra_from_dict({"dim": "three", "basis": [], "brackets": {}})
     with pytest.raises(ParseError):
         load_bundled("no-such-fixture")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_cli_integer_past_the_digit_limit_is_an_input_error(runner, tmp_path):
+    # json parses such an integer with a plain ValueError, which used to end
+    # in a traceback for algebra files
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(f'{{"dim": {digits}, "basis": []}}', encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text(f'{{"name": "m", "cartan_classes": [{{"vector_rank": {digits}, "torus_rank": 0}}]}}')
+    for args in (["analyze", str(algebra)], ["powermap", str(model), "-k", "2"],
+                 ["quotient", fixture_path("sl2"), "--ideal", f"[[{digits}, 0, 0]]"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.endswith(f"an integer of {len(digits)} digits is too long\n")
 
 
 def test_verification_matrix_references_catalog():
@@ -227,17 +249,81 @@ def test_cli_cartan_methods(runner):
     assert result.exit_code == 2  # chain needs a solvable algebra
 
 
-@pytest.mark.parametrize("error", [NotClosed, NonNilpotentIterate, DimensionMismatch, InternalInconsistency])
+def toolkit_errors():
+    """CartanKitError and every class below it in cartankit.errors."""
+    found, todo = {CartanKitError}, [CartanKitError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__ == errors.__name__ and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+INPUT_ERRORS = [cls for cls in toolkit_errors() if issubclass(cls, InputError)]
+
+
+def test_input_errors_are_the_documented_ones():
+    assert {cls.__name__ for cls in INPUT_ERRORS} == {
+        "InputError", "ParseError", "IndexOutOfRange", "JacobiViolation", "NotIdeal", "NotCartan",
+        "NotSolvable", "HypothesisViolated", "InvalidOrder", "EmptyInstance", "InvalidExponent",
+    }
+
+
+def inject(monkeypatch, error):
+    def broken(g):
+        raise error((0, 1, 2), (), "injected") if error is JacobiViolation else error("injected")
+
+    monkeypatch.setattr(cli, "regular_element_csa", broken)
+
+
+@pytest.mark.parametrize("error", [cls for cls in toolkit_errors() if cls not in INPUT_ERRORS])
 def test_cli_other_library_errors_exit_3(runner, monkeypatch, error):
     # every library error that is not an input error is internal: exit 3, no traceback
+    inject(monkeypatch, error)
+    result = runner.invoke(main, ["cartan", fixture_path("sl2")])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert (result.stdout, result.stderr) == ("", "error: injected\n")
+
+
+@pytest.mark.parametrize("error", INPUT_ERRORS)
+def test_cli_input_errors_exit_2(runner, monkeypatch, error):
+    inject(monkeypatch, error)
+    result = runner.invoke(main, ["cartan", fixture_path("sl2")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert (result.stdout, result.stderr) == ("", "error: injected\n")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError, ZeroDivisionError, KeyError])
+def test_cli_non_toolkit_exceptions_propagate(runner, monkeypatch, error):
+    # the builtin ValueError is a bug here, not an input error
     def broken(g):
         raise error("injected")
 
     monkeypatch.setattr(cli, "regular_element_csa", broken)
-    result = runner.invoke(main, ["cartan", fixture_path("sl2")])
-    assert result.exit_code == 3
-    assert isinstance(result.exception, SystemExit)
-    assert "error: injected" in result.stderr
+    with pytest.raises(error, match="injected"):
+        runner.invoke(main, ["cartan", fixture_path("sl2")], catch_exceptions=False)
+
+
+def test_cli_broken_pipe_exits_1_without_a_message(runner, monkeypatch):
+    # a closed stdout is not an unreadable input: click's own handling stays
+    def closed(message):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_echo", closed)
+    result = runner.invoke(main, ["catalog"])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "")
+
+
+def test_cli_runs_as_a_standalone_main(tmp_path, capsys):
+    # the way scripts and the benchmark call it: click's main raises SystemExit
+    args = ["powermap", str(tmp_path / "missing.json"), "-k", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main.main(args=args, prog_name="cartankit", standalone_mode=True)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
 
 
 def test_cli_levi(runner):

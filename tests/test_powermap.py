@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cartankit.catalog import bundled_models
 from cartankit.cli import main
-from cartankit.errors import EmptyInstance, InvalidOrder, ParseError
+from cartankit.errors import EmptyInstance, InputError, InvalidExponent, InvalidOrder, ParseError
 from cartankit.powermap import (
     CartanGroupModel,
     GroupDensityInstance,
@@ -56,9 +56,26 @@ def test_invalid_order_rejected():
         powers_surjective_bruteforce([0], 2)
 
 
+def test_models_check_themselves_when_built():
+    with pytest.raises(InvalidOrder, match="component order 1 is below 2"):
+        model([2, 1])
+    with pytest.raises(InvalidOrder, match="ranks must be non-negative"):
+        model([], a=-1)
+    with pytest.raises(InvalidOrder, match="ranks must be non-negative"):
+        model([], b=-1)
+    with pytest.raises(EmptyInstance, match="instance 'empty' lists no Cartan classes"):
+        GroupDensityInstance("empty", ())
+
+
 def test_exponent_must_be_positive():
     with pytest.raises(ValueError):
         pk_surjective(model([]), 0)
+    # an input error, and still a ValueError for callers that catch one
+    for call in (lambda: pk_surjective(model([2]), 0), lambda: powers_surjective_bruteforce([2], -1)):
+        with pytest.raises(InvalidExponent) as exc:
+            call()
+        assert isinstance(exc.value, InputError) and isinstance(exc.value, ValueError)
+        assert str(exc.value) == "the power-map exponent must be a positive integer"
 
 
 @given(orders_strategy, st.integers(1, 30))
@@ -139,6 +156,18 @@ def test_instance_parse_errors(tmp_path):
         instance_from_dict({"name": "x", "cartan_classes": []})
     with pytest.raises(ParseError):
         instance_from_dict({"name": "x"})
+
+
+def test_classes_that_are_not_a_list_are_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        instance_from_dict({"name": "x", "cartan_classes": {"a": {}}})
+    assert str(exc.value) == "malformed density instance: cartan_classes must be a list, got {'a': {}}"
+
+
+def test_a_class_that_is_not_an_object_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        instance_from_dict({"name": "x", "cartan_classes": [[1, 0]]})
+    assert str(exc.value) == "malformed Cartan class model: each class must be an object, got [1, 0]"
 
 
 def test_bundled_triples_never_violate_composition():

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction as F
 
 import pytest
 
@@ -22,7 +21,6 @@ from cartankit.radicals import (
     is_semisimple,
     nilradical,
     radical,
-    radical_pair,
 )
 
 
@@ -106,24 +104,25 @@ def test_nilradical_needs_more_than_trace_forms():
 
 def test_radical_pair_invariants(catalog):
     for g in catalog.values():
-        pair = radical_pair(g)
-        assert pair.radical.contains_subspace(pair.nilradical)
-        assert is_solvable(pair.radical)
-        assert is_nilpotent(pair.nilradical)
+        rad, nil = radical(g), nilradical(g)
+        assert rad.contains_subspace(nil)
+        assert is_solvable(rad)
+        assert is_nilpotent(nil)
         whole = g.whole()
-        assert pair.nilradical.contains_subspace(bracket_span(whole, pair.radical))
-        assert pair.nilradical.contains_subspace(bracket_span(pair.radical, pair.radical))
+        assert nil.contains_subspace(bracket_span(whole, rad))
+        assert nil.contains_subspace(bracket_span(rad, rad))
 
 
 def test_nilradical_membership_characterization(catalog):
     for name in ["aff1", "e2", "oscillator", "r3_0", "gl2", "sl2xR2"]:
         g = catalog[name]
-        pair = radical_pair(g)
-        for row in pair.nilradical.matrix:
+        rad, nil = radical(g), nilradical(g)
+        assert rad.contains_subspace(nil)
+        for row in nil.matrix:
             assert linalg.is_nilpotent_mat(g.ad(row))
         # radical basis rows outside the nilradical have non-nilpotent ad
-        for row in pair.radical.matrix:
-            if not pair.nilradical.contains(row):
+        for row in rad.matrix:
+            if not nil.contains(row):
                 assert not linalg.is_nilpotent_mat(g.ad(row))
 
 
