@@ -561,13 +561,14 @@ def killing_form(g: LieAlgebra) -> Mat:
 
 
 def killing_value(form: Mat, x: Sequence, y: Sequence) -> Fraction:
-    """x^T form y, summed over the nonzero entries of x and y only."""
-    ys = [(j, Fraction(yj)) for j, yj in enumerate(y) if yj]
-    total = Fraction(0)
-    for xi, row in zip(x, form):
-        if xi:
-            total += Fraction(xi) * sum((row[j] * yj for j, yj in ys), Fraction(0))
-    return total
+    """x^T form y, over the nonzero products x_i k_ij y_j only.
+
+    No entry is converted to ``Fraction``; the value is one all the same,
+    as the sum starts at ``linalg.ZERO``.  Only ``verify`` and the tests
+    call it.
+    """
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    return sum((xi * row[j] * yj for xi, row in zip(x, form) if xi for j, yj in ys if row[j]), linalg.ZERO)
 
 
 def _escaping_bracket(sub: Subspace) -> tuple[int, int] | None:

@@ -8,6 +8,7 @@ only keys "i,j" with i < j are allowed.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -87,7 +88,15 @@ def parse_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except ValueError as exc:
-            raise ParseError(f"bad rational string {value!r}: {exc}") from exc
+            if len(value) <= 40:
+                raise ParseError(f"bad rational string {value!r}: {exc}") from exc
+            # quote the head only; the interpreter's own message quotes it all
+            digits = sum(map(str.isdigit, value))
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            reason = "not a rational"
+            if 0 < limit < digits:
+                reason = f"{digits} digits, past the interpreter's limit of {limit} per integer"
+            raise ParseError(f"bad rational string {value[:24]!r}... of {len(value)} characters: {reason}") from exc
         except ZeroDivisionError as exc:
             raise ParseError(f"bad rational string {value!r}: the denominator is zero") from exc
     raise ParseError(

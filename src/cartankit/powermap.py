@@ -129,10 +129,12 @@ def model_from_dict(data: dict) -> CartanGroupModel:
 
 
 def instance_from_dict(data: dict) -> GroupDensityInstance:
+    if not isinstance(data, dict):
+        raise ParseError(f"malformed density instance: must be a JSON object, got {type(data).__name__}")
     try:
         name = data["name"]
         classes = data["cartan_classes"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"malformed density instance: {exc}") from exc
     if not isinstance(classes, list):
         raise ParseError(f"malformed density instance: cartan_classes must be a list, got {classes!r}")
@@ -160,6 +162,8 @@ def triples_from_dict(data) -> list[ModelTriple]:
         raise ParseError("model triple corpus must be a JSON list")
     out = []
     for item in data:
+        if not isinstance(item, dict):
+            raise ParseError(f"malformed model triple: must be a JSON object, got {type(item).__name__}")
         try:
             out.append(
                 ModelTriple(
@@ -169,7 +173,7 @@ def triples_from_dict(data) -> list[ModelTriple]:
                     group=instance_from_dict(item["group"]),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ParseError(f"malformed model triple: {exc}") from exc
     return out
 

@@ -155,6 +155,11 @@ def enumerate_ideal_candidates(g: LieAlgebra) -> list[Subspace]:
     join of principal ideals, so the collection is closed under joins once
     it is closed under joins with the principal ideals; a frontier loop of
     new members times principal ideals reaches that.
+
+    A join a + b reduces b's integer rows against a's echelon form; when
+    every residual is zero, b lies in a and the join is a itself, already
+    seen, so none is formed.  Otherwise a's rows and the nonzero residuals
+    span a + b.  Only ``verify`` and the tests call it.
     """
     principal: dict[EchelonForm, Subspace] = {}
     for v in candidate_vector_pool(g):
@@ -162,12 +167,17 @@ def enumerate_ideal_candidates(g: LieAlgebra) -> list[Subspace]:
         principal.setdefault(closed._echelon, closed)
     seen: dict[EchelonForm, Subspace] = {(): Subspace(g, ())}
     seen.update(principal)
+    principal_rows = [b._rows_ints() for b in principal.values()]
     frontier = list(principal.values())
     while frontier:
         joins: dict[EchelonForm, Subspace] = {}
         for a in frontier:
-            for b in principal.values():
-                joined = a.sum(b)
+            a_rows = a._rows_ints()
+            for b_rows in principal_rows:
+                residuals = [r for r in (linalg.reduce_ints(u, 1, a._echelon)[0] for u in b_rows) if any(r)]
+                if not residuals:
+                    continue
+                joined = Subspace._from_ints(g, a_rows + residuals)
                 if joined._echelon not in seen:
                     joins.setdefault(joined._echelon, joined)
         seen.update(joins)

@@ -222,15 +222,30 @@ _fixture_check = partial(_check, _FIXTURE_CHECKS)
 
 @_fixture_check("core-jacobi", "[[x,y],z] + [[y,z],x] + [[z,x],y] = 0")
 def _check_jacobi(ctx: _FixtureContext):
+    """The Jacobiator of every triple of basis and pool vectors, in ints.
+
+    With the vectors as integer rows over their scale d, each first bracket
+    D d^2 [x, y] is built once per pair and each Jacobiator summed at the
+    scale D^2 d^3, using [[z,x],y] = -[[x,z],y].  Only a failing residual
+    is divided back to ``Fraction``.  It does not call the
+    ``LieAlgebra._check_jacobi`` that it checks.
+    """
     g = ctx.g
     vectors = [linalg.unit_vec(g.dim, i) for i in range(g.dim)]
     vectors += candidate_vector_pool(g)[g.dim : g.dim + 4]
-    for x, y, z in itertools.combinations(vectors, 3):
-        res = g.bracket(g.bracket(x, y), z)
-        res = linalg.vec_add(res, g.bracket(g.bracket(y, z), x))
-        res = linalg.vec_add(res, g.bracket(g.bracket(z, x), y))
-        if not linalg.is_zero_vec(res):
-            return {"triple": _strings([x, y, z]), "residual": [str(e) for e in res]}
+    rows, d = linalg.integer_rows(vectors)
+    first = {
+        (a, b): [(k, c) for k, c in enumerate(g._bracket_ints(rows[a], rows[b])) if c]
+        for a, b in itertools.combinations(range(len(rows)), 2)
+    }
+    for a, b, c in itertools.combinations(range(len(rows)), 3):
+        xy_z = g._bracket_ints(first[a, b], rows[c])
+        yz_x = g._bracket_ints(first[b, c], rows[a])
+        xz_y = g._bracket_ints(first[a, c], rows[b])
+        res = [p + q - r for p, q, r in zip(xy_z, yz_x, xz_y)]
+        if any(res):
+            residual = [str(e) for e in linalg.over(res, g._d**2 * d**3)]
+            return {"triple": _strings([vectors[a], vectors[b], vectors[c]]), "residual": residual}
     return None
 
 
@@ -275,14 +290,17 @@ def _check_canonical_form(ctx: _FixtureContext):
 
 @_fixture_check("core-killing-invariance", "k([x,y],z) = k(x,[y,z]) on basis triples")
 def _check_killing_invariance(ctx: _FixtureContext):
+    """Both sides of every basis triple through ``killing_value``, reading
+    each [e_i, e_j] from a table built once (n^2 ``bracket_basis`` calls)."""
     g = ctx.g
     form = killing_form(g)
     basis = [linalg.unit_vec(g.dim, i) for i in range(g.dim)]
-    for x, y, z in itertools.product(basis, repeat=3):
-        lhs = killing_value(form, g.bracket(x, y), z)
-        rhs = killing_value(form, x, g.bracket(y, z))
+    brackets = [[g.bracket_basis(i, j) for j in range(g.dim)] for i in range(g.dim)]
+    for i, j, k in itertools.product(range(g.dim), repeat=3):
+        lhs = killing_value(form, brackets[i][j], basis[k])
+        rhs = killing_value(form, basis[i], brackets[j][k])
         if lhs != rhs:
-            return {"triple": _strings([x, y, z]), "lhs": str(lhs), "rhs": str(rhs)}
+            return {"triple": _strings([basis[i], basis[j], basis[k]]), "lhs": str(lhs), "rhs": str(rhs)}
     return None
 
 

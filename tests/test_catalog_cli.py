@@ -95,6 +95,38 @@ def test_zero_denominator_is_named():
     assert str(exc.value) == "bad rational string '1/0': the denominator is zero"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_rational_string_past_the_digit_limit_is_quoted_short():
+    # the message used to quote all 5,000 digits and the interpreter's advice
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as exc:
+        parse_rational("9" * 5000)
+    message = str(exc.value)
+    assert message == (
+        f"bad rational string {'9' * 24!r}... of 5000 characters: "
+        f"5000 digits, past the interpreter's limit of {limit} per integer"
+    )
+    assert "set_int_max_str_digits" not in message
+
+
+def test_long_bad_rational_string_is_quoted_short():
+    with pytest.raises(ParseError) as exc:
+        parse_rational("x" * 5000)
+    assert str(exc.value) == f"bad rational string {'x' * 24!r}... of 5000 characters: not a rational"
+    # a short one keeps the whole string and the parser's reason
+    with pytest.raises(ParseError) as exc:
+        parse_rational("3/x")
+    assert str(exc.value) == "bad rational string '3/x': Invalid literal for Fraction: '3/x'"
+
+
+def test_cli_rational_string_past_the_digit_limit_exits_2(runner):
+    ideal = json.dumps([["9" * 5000, "0", "0"]])
+    result = runner.invoke(main, ["quotient", fixture_path("sl2"), "--ideal", ideal])
+    assert result.exit_code == 2, result.output
+    assert "of 5000 characters" in result.stderr
+    assert len(result.stderr) < 200
+
+
 def test_floats_rejected():
     with pytest.raises(ParseError):
         parse_rational(0.5)

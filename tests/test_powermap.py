@@ -18,6 +18,7 @@ from cartankit.powermap import (
     load_triples,
     pk_surjective,
     powers_surjective_bruteforce,
+    triples_from_dict,
     weakly_exponential_model,
 )
 
@@ -168,6 +169,34 @@ def test_a_class_that_is_not_an_object_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         instance_from_dict({"name": "x", "cartan_classes": [[1, 0]]})
     assert str(exc.value) == "malformed Cartan class model: each class must be an object, got [1, 0]"
+
+
+@pytest.mark.parametrize("data, kind", [([1], "list"), ("m", "str"), (None, "NoneType"), (3, "int")])
+def test_an_instance_that_is_not_an_object_is_a_parse_error(data, kind):
+    # the message used to quote Python's "list indices must be integers or slices, not str"
+    with pytest.raises(ParseError) as exc:
+        instance_from_dict(data)
+    assert str(exc.value) == f"malformed density instance: must be a JSON object, got {kind}"
+
+
+def test_a_triple_that_is_not_an_object_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        triples_from_dict([[1]])
+    assert str(exc.value) == "malformed model triple: must be a JSON object, got list"
+    instance = {"name": "x", "cartan_classes": [{"vector_rank": 1, "torus_rank": 0}]}
+    with pytest.raises(ParseError) as exc:
+        triples_from_dict([{"name": "t", "subgroup": [1], "quotient": instance, "group": instance}])
+    assert str(exc.value) == "malformed density instance: must be a JSON object, got list"
+
+
+@pytest.mark.parametrize("payload", ["[1]", "[]", '"model"', "null"])
+def test_cli_model_file_that_is_not_an_object_exits_2(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_text(payload, encoding="utf-8")
+    result = CliRunner().invoke(main, ["powermap", str(path), "-k", "2"])
+    assert result.exit_code == 2, result.output
+    assert "malformed density instance: must be a JSON object, got " in result.stderr
+    assert "indices" not in result.stderr
 
 
 def test_bundled_triples_never_violate_composition():
